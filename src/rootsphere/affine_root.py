@@ -17,7 +17,6 @@ from .exact import (
     rational,
     span_rank,
     unflatten,
-    vadd,
     vector,
     vneg,
     vscale,
@@ -29,14 +28,11 @@ from .finite_root import (
     Matrix,
     RootSystem,
     VerdictMismatchError,
+    _orbit_walk,
     base,
-    identity_matrix,
-    mat_det,
-    mat_mul,
-    mat_vec,
     positive_roots,
 )
-from .group_ring import GroupRingElement, truncated_product
+from .group_ring import GroupRingElement, _frac_key, truncated_product
 from .quadric import ParaboloidFit, fit_paraboloid, paraboloid_fit_to_json
 
 DEFAULT_AFFINE_BOUND = 10**6
@@ -384,53 +380,23 @@ def _affine_base(items, grading: AffineVector) -> list[AffineVector]:
 def affine_weyl_rhs(spec: AffineSupportSpec, bound: int = DEFAULT_AFFINE_BOUND) -> GroupRingElement:
     """Sum of det(w) e^{s(w)} over group elements with grade(s(w)) <= cutoff.
 
-    s(w) is the sum of the positive real roots sent negative by w, computed
-    incrementally along reduced words: s(w s_i) = a_i + s_i(s(w)).  Since
-    every positive real root has grade >= g_min > 0 and |s(w)| grows with
-    the word length, lengths above cutoff/g_min cannot contribute.
+    s(w) is the sum of the positive real roots sent negative by w.  The
+    orbit walk steps by s(s_i w) = s_i(s(w)) + a_i, the reflection pairing
+    parts only.  Along a reduced word each step adds
+    <rho, w^-1 a_i^v> * grade(a_i) > 0 to the grade, so a node above the
+    cutoff is dropped with everything beyond it, exactly.  bound counts the
+    elements kept, those with grade(s(w)) <= cutoff; when more are found,
+    GroupTooLargeError is raised.
     """
     if not isinstance(spec, GeneratedAffineSupport):
         raise ValueError("affine Weyl sum needs a generated spec")
-    items = enumerate_support(spec)
-    nhat = spec.grading
-    c = spec.cutoff
-    dim = 1 + spec.dim
-
-    simples = _affine_base(items, nhat)
+    simples = _affine_base(enumerate_support(spec), spec.grading)
     if not simples:
         raise ValueError("empty affine base")
-    gens = [affine_reflection_matrix(a) for a in simples]
-    gen_vecs = [a.flatten() for a in simples]
-
-    real_grades = [grade(av, nhat) for av, _ in items if not is_zero(av.part)]
-    if not real_grades:
-        return GroupRingElement(dim, {zero_vector(dim): 1})
-    g_min = min(real_grades)
-    max_len = floor(c / g_min)
-
-    ident = identity_matrix(dim)
-    terms: dict[Vector, int] = {zero_vector(dim): 1}
-    seen = {ident}
-    layer = [(ident, zero_vector(dim), 1)]
-    length = 0
-    while layer and length < max_len:
-        length += 1
-        nxt = []
-        for mat, svec, det in layer:
-            for g, gv in zip(gens, gen_vecs):
-                m2 = mat_mul(mat, g)
-                if m2 in seen:
-                    continue
-                if len(seen) >= bound:
-                    raise GroupTooLargeError("group too large")
-                seen.add(m2)
-                s2 = vadd(gv, mat_vec(g, svec))
-                d2 = -det
-                nxt.append((m2, s2, d2))
-                if inner(s2, nhat.flatten()) <= c:
-                    terms[s2] = terms.get(s2, 0) + d2
-        layer = nxt
-    return GroupRingElement(dim, terms)
+    roots = [a.flatten() for a in simples]
+    mirrors = [(Q(0),) + a.part for a in simples]
+    nodes, scale = _orbit_walk(mirrors, roots, roots, bound, spec.grading.flatten(), spec.cutoff)
+    return GroupRingElement(1 + spec.dim, {_frac_key(key, scale): (-1) ** d for key, d, _ in nodes})
 
 
 # -- characterization ----------------------------------------------------------------

@@ -225,7 +225,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("macdonald", help="compare the truncated affine identity")
     sp.add_argument("name", help="catalog name, e.g. A1")
     sp.add_argument("--cutoff", type=rational, default=None)
-    sp.add_argument("--weyl-bound", type=int, default=DEFAULT_AFFINE_BOUND)
+    sp.add_argument(
+        "--weyl-bound",
+        type=int,
+        default=DEFAULT_AFFINE_BOUND,
+        help="fail with 'group too large' once more group elements than this have grade <= cutoff",
+    )
     sp.add_argument("--output")
     sp.set_defaults(fn=_cmd_macdonald)
 

@@ -20,10 +20,6 @@ def rational(x) -> Fraction:
     return Fraction(x)
 
 
-def fmt_rational(x) -> str:
-    return str(rational(x))
-
-
 def vector(coords: Iterable) -> Vector:
     return tuple(rational(c) for c in coords)
 

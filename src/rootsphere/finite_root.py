@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
+from operator import mul
 from typing import NamedTuple
 
 from .exact import Q, Vector, inner, norm_sq, span_rank, vadd, vector, vneg, vscale, vsub, zero_vector
-from .group_ring import GroupRingElement, SupportMap, _common_denominator, expand_product
+from .group_ring import GroupRingElement, SupportMap, _common_denominator, _frac_key, _int_key, expand_product
 from .quadric import SphereFit, fit_sphere, sphere_fit_to_json
 
 
@@ -181,9 +183,27 @@ def weyl_vector(rplus) -> Vector:
 
 @dataclass(frozen=True)
 class WeylElement:
-    matrix: Matrix
-    det: int
+    """A group element w: its lex-least reduced word, det(w) and an orbit vector.
+
+    w is the product of the simple reflections of the word, read left to
+    right.  orbit is rho - w^-1(rho): the orbit walk steps by left
+    multiplication, so the word is the walk's path from the identity to
+    w^-1.  The matrix is built from the word on first access.
+    """
+
     word: tuple[int, ...]
+    det: int
+    orbit: Vector
+    simples: tuple[Vector, ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        m = identity_matrix(len(self.orbit))
+        for i in self.word:
+            m = mat_mul(m, reflection_matrix(self.simples[i]))
+        if mat_det(m) != self.det:
+            raise ArithmeticError("determinant bookkeeping failed")
+        return m
 
 
 DEFAULT_WEYL_BOUND = 10**6
@@ -230,15 +250,87 @@ def _prod(it) -> int:
     return out
 
 
-def enumerate_weyl(rplus, bound: int = DEFAULT_WEYL_BOUND) -> list[WeylElement]:
-    """BFS over products of simple reflections, deduplicated by exact matrix.
+def _orbit_walk(mirrors, roots, shifts, bound: int, grading=None, cutoff=None):
+    """Breadth-first walk over the orbit vectors s(w) of a reflection group.
 
-    rplus is a positive system; its simple roots are taken as base(rplus).
-    Elements come out sorted by word length then lexicographic word.  The
-    classification-based order check makes oversized groups fail before any
-    enumeration starts; the bound is enforced during BFS as well.
+    Reflection i sends v to v - (2<m_i, v>/<m_i, m_i>) r_i, with m_i =
+    mirrors[i] and r_i = roots[i].  The walk steps from s(w) to
+    s(s_i w) = s_i(s(w)) + shifts[i], starting at s(1) = 0, and
+    deduplicates by the vector, which is exact while w -> s(w) is
+    injective.  The depth of a node is the length of w, so det(w) =
+    (-1)^depth: a neighbour of a node at depth d-1 must sit at depth d-2
+    or d, and anything else (an odd cycle, so s is not injective) raises
+    ArithmeticError.  With a grading, a node of grade above the cutoff is
+    dropped; this is exact when the grade of s(w) rises along every
+    reduced word.  bound caps the number of nodes kept.
+
+    Vectors are keyed by their coordinates times a common denominator, the
+    returned scale.  A reflection coefficient that is not an integer (only
+    for sets that are not root systems) stays an exact Fraction on the same
+    path.  Returns (nodes, scale); nodes are (key, depth, word) in order of
+    depth then lexicographic word, where word is the lex-least path from
+    the identity.
     """
-    simples = base(rplus)
+    vectors = [*mirrors, *roots, *shifts]
+    prune = grading is not None
+    if prune:
+        vectors.append(grading)
+    scale = _common_denominator(vectors)
+    steps = []
+    for m, r, h in zip(mirrors, roots, shifts):
+        m = _int_key(m, scale)
+        steps.append((m, sum(map(mul, m, m)), _int_key(r, scale), _int_key(h, scale)))
+    if prune:
+        # grade(v) <= cutoff  <=>  <v_int, g_int> <= cutoff * scale^2
+        g = _int_key(grading, scale)
+        threshold = cutoff * scale * scale
+
+    zero = (0,) * len(steps[0][0])
+    depth = {zero: 0}
+    nodes = [(zero, 0, ())]
+    layer = [(zero, ())]
+    d = 0
+    while layer:
+        d += 1
+        nxt = []
+        for v, word in layer:
+            for i, (m, mm, r, h) in enumerate(steps):
+                num = 2 * sum(map(mul, m, v))
+                c, rem = divmod(num, mm)
+                if rem:
+                    c = Fraction(num, mm)
+                u = tuple(x - c * y + z for x, y, z in zip(v, r, h))
+                seen = depth.get(u)
+                if seen is not None:
+                    if seen != d and seen != d - 2:
+                        raise ArithmeticError("orbit collision: w -> s(w) was not injective")
+                    continue
+                if prune and sum(map(mul, g, u)) > threshold:
+                    continue
+                if len(depth) >= bound:
+                    raise GroupTooLargeError("group too large")
+                depth[u] = d
+                nxt.append((u, word + (i,)))
+        nodes.extend((u, d, word) for u, word in nxt)
+        layer = nxt
+    return nodes, scale
+
+
+def enumerate_weyl(rplus, bound: int = DEFAULT_WEYL_BOUND) -> list[WeylElement]:
+    """The reflection group of base(rplus), from the orbit walk of rho.
+
+    rplus is a positive system; its simple roots are taken as base(rplus)
+    and rho = weyl_vector(rplus).  The walk steps by
+    s(s_i w) = s_i(s(w)) + <rho, a_i^v> a_i on s(w) = rho - w(rho); the
+    shift is a_i only when <rho, a_i^v> = 1, which need not hold for an
+    arbitrary rplus.  Elements come out sorted by word length then
+    lexicographic word.  The classification-based order check makes
+    oversized groups fail before the walk starts; the bound is enforced
+    during the walk as well, and a walk shorter than the classified order
+    means w -> rho - w(rho) was not injective.
+    """
+    pos = [vector(a) for a in rplus]
+    simples = base(pos)
     if not simples:
         raise ValueError("empty positive system")
     try:
@@ -248,46 +340,25 @@ def enumerate_weyl(rplus, bound: int = DEFAULT_WEYL_BOUND) -> list[WeylElement]:
     if order is not None and order > bound:
         raise GroupTooLargeError("group too large")
 
-    dim = len(simples[0])
-    gens = [reflection_matrix(a) for a in simples]
-    ident = identity_matrix(dim)
-    elements = [WeylElement(ident, 1, ())]
-    seen = {ident}
-    layer = elements
-    while layer:
-        nxt = []
-        for el in layer:
-            for i, g in enumerate(gens):
-                m = mat_mul(el.matrix, g)
-                if m in seen:
-                    continue
-                if len(seen) >= bound:
-                    raise GroupTooLargeError("group too large")
-                det = -el.det
-                if mat_det(m) != det:
-                    raise ArithmeticError("determinant bookkeeping failed")
-                seen.add(m)
-                nxt.append(WeylElement(m, det, el.word + (i,)))
-        elements.extend(nxt)
-        layer = nxt
-    return elements
+    rho = weyl_vector(pos)
+    shifts = [vscale(2 * inner(rho, a) / norm_sq(a), a) for a in simples]
+    nodes, scale = _orbit_walk(simples, simples, shifts, bound)
+    if order is not None and len(nodes) != order:
+        raise ArithmeticError("orbit collision: w -> rho - w(rho) was not injective")
+    gens = tuple(simples)
+    return [WeylElement(word, (-1) ** d, _frac_key(key, scale), gens) for key, d, word in nodes]
 
 
 def denominator_rhs(rplus, bound: int = DEFAULT_WEYL_BOUND) -> GroupRingElement:
-    """Alternating sum over the reflection group: sum_w det(w) e^{rho - w(rho)}."""
+    """Alternating sum over the reflection group: sum_w det(w) e^{rho - w(rho)}.
+
+    It is summed as sum_w det(w) e^{rho - w^-1(rho)}, the same sum, since
+    w -> w^-1 permutes the group and keeps det.
+    """
     pos = [vector(a) for a in rplus]
     if not pos:
         raise ValueError("empty positive system")
-    dim = len(pos[0])
-    group = enumerate_weyl(pos, bound)
-    rho = weyl_vector(pos)
-    terms: dict[Vector, int] = {}
-    for w in group:
-        key = vsub(rho, mat_vec(w.matrix, rho))
-        terms[key] = terms.get(key, 0) + w.det
-    if len(terms) != len(group):
-        raise ArithmeticError("orbit collision: w -> rho - w(rho) was not injective")
-    return GroupRingElement(dim, terms)
+    return GroupRingElement(len(pos[0]), {w.orbit: w.det for w in enumerate_weyl(pos, bound)})
 
 
 # -- classification ----------------------------------------------------------------

@@ -31,7 +31,7 @@ from rootsphere.affine_root import (
 )
 from rootsphere.catalog import untwisted_affine
 from rootsphere.exact import AffineVector, Q, affine, inner, norm_sq, vector, vsub, zero_vector
-from rootsphere.finite_root import identity_matrix, mat_det, mat_mul, mat_vec
+from rootsphere.finite_root import GroupTooLargeError, identity_matrix, mat_det, mat_mul, mat_vec
 from rootsphere.group_ring import monomial, mul, truncated_product
 
 A = vector([1, -1, 0])
@@ -317,6 +317,23 @@ def test_truncated_identity_a1():
         assert lhs == affine_weyl_rhs(spec)
 
 
+@pytest.mark.parametrize("name, cutoff", [("G2", 4), ("A3", 3), ("B3", 3)])
+def test_truncated_identity_catalog(name, cutoff):
+    spec = untwisted_affine(name, cutoff)
+    factors = [(av.flatten(), m) for av, m in enumerate_support(spec)]
+    assert truncated_product(factors, spec.grading.flatten(), spec.cutoff) == affine_weyl_rhs(spec)
+
+
+def test_weyl_rhs_bound_counts_kept_elements():
+    spec = untwisted_affine("A2", 6)
+    kept = len(affine_weyl_rhs(spec).terms)
+    assert affine_weyl_rhs(spec, bound=kept).terms
+    with pytest.raises(GroupTooLargeError, match="group too large"):
+        affine_weyl_rhs(spec, bound=5)
+    with pytest.raises(GroupTooLargeError, match="group too large"):
+        affine_weyl_rhs(spec, bound=kept - 1)
+
+
 def _brute_ball(spec, max_len):
     """All group elements of word length <= max_len, keyed by matrix."""
     simples = _affine_base(enumerate_support(spec), spec.grading)
@@ -339,30 +356,27 @@ def _brute_ball(spec, max_len):
 
 
 def test_weyl_rhs_matches_definitional_inversion_sets():
-    # independent route: enumerate group elements, compute each inversion set
-    # against a window of positive items, and sum the alternating exponentials
-    spec = a1_spec(2)
-    ball = _brute_ball(spec, 6)
-    assert len(ball) == 13
+    # independent route with no grade pruning: enumerate every group element
+    # up to max_len, compute each inversion set against a window of positive
+    # items, and sum the alternating exponentials of grade <= cutoff
+    for spec, max_len, ball_size in ((a1_spec(2), 6, 13), (untwisted_affine("A2", 3), 12, 235)):
+        ball = _brute_ball(spec, max_len)
+        assert len(ball) == ball_size
+        gflat = spec.grading.flatten()
+        # every positive real root has grade >= g_min, so no longer element counts
+        g_min = min(inner(a.flatten(), gflat) for a in _affine_base(enumerate_support(spec), spec.grading))
+        assert (max_len + 1) * g_min > spec.cutoff
 
-    window = [(Q(0), Q(1))]
-    for k in range(1, 9):
-        window.append((Q(k), Q(1)))
-        window.append((Q(k), Q(-1)))
-
-    def negative(f):
-        return f[0] < 0 or (f[0] == 0 and f[1] < 0)
-
-    gflat = spec.grading.flatten()
-    defs: dict[tuple, int] = {}
-    for mat, (det, ln) in ball.items():
-        inv = [f for f in window if negative(mat_vec(mat, f))]
-        assert len(inv) == ln
-        s = tuple(sum(col) for col in zip(*inv)) if inv else (Q(0), Q(0))
-        if inner(s, gflat) <= spec.cutoff:
-            defs[s] = defs.get(s, 0) + det
-    defs = {k: v for k, v in defs.items() if v != 0}
-    assert defs == {k: int(v) for k, v in affine_weyl_rhs(spec).terms.items()}
+        window = [f for k in range(max_len + 2) for a in spec.roots for f in [(Q(k),) + a] if inner(f, gflat) > 0]
+        defs: dict[tuple, int] = {}
+        for mat, (det, ln) in ball.items():
+            inv = [f for f in window if inner(mat_vec(mat, f), gflat) < 0]
+            assert len(inv) == ln
+            s = tuple(sum(col) for col in zip(*inv)) if inv else zero_vector(len(gflat))
+            if inner(s, gflat) <= spec.cutoff:
+                defs[s] = defs.get(s, 0) + det
+        defs = {k: v for k, v in defs.items() if v != 0}
+        assert defs == {k: int(v) for k, v in affine_weyl_rhs(spec).terms.items()}
 
 
 def _fit_holds(fit, av):

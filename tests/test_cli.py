@@ -199,6 +199,12 @@ def test_macdonald_a1(capsys):
     assert data["term_count_per_grade"]["0"] == 1
 
 
+def test_macdonald_weyl_bound(capsys):
+    code, _, err = run(capsys, "macdonald", "A2", "--cutoff", "6", "--weyl-bound", "5")
+    assert code == 2
+    assert "group too large" in err
+
+
 def test_macdonald_rejects_nonpositive_cutoff(capsys):
     code, _, err = run(capsys, "macdonald", "A1", "--cutoff", "0")
     assert code == 2

@@ -17,6 +17,7 @@ from rootsphere.finite_root import (
     denominator_rhs,
     enumerate_weyl,
     finite_verdict_to_json,
+    identity_matrix,
     mat_det,
     mat_mul,
     mat_vec,
@@ -156,6 +157,16 @@ def test_enumerate_weyl_d4():
     assert len(els) == 192
 
 
+@pytest.mark.parametrize("name", ["A2", "D4"])
+def test_enumerate_weyl_word_length_counts_inversions(name):
+    from rootsphere.catalog import standard_finite
+
+    pos = standard_finite(name).positive
+    negative = {vneg(a) for a in pos}
+    for w in enumerate_weyl(pos):
+        assert len(w.word) == sum(mat_vec(w.matrix, a) in negative for a in pos)
+
+
 def test_enumerate_weyl_bound():
     with pytest.raises(GroupTooLargeError, match="group too large"):
         enumerate_weyl([A, B, AB], bound=3)
@@ -187,6 +198,46 @@ def test_denominator_rhs_b2():
     assert len(rhs.terms) == 8
     assert all(c in (Q(1), Q(-1)) for c in rhs.terms.values())
     assert rhs == expand_product(SupportMap(2, {a: 1 for a in rplus}))
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
+)
+def test_denominator_identity_catalog(name):
+    from rootsphere.catalog import standard_finite
+
+    entry = standard_finite(name)
+    rhs = denominator_rhs(entry.positive)
+    assert rhs == expand_product(SupportMap(entry.ambient_dim, {a: 1 for a in entry.positive}))
+    assert len(rhs.terms) == entry.expected_weyl_order
+
+
+def _matrix_alternating_sum(rplus):
+    """sum_w det(w) e^{rho - w(rho)} over the group the reflections in base(rplus)
+    generate, walked on matrices: independent of the orbit walk's shifts."""
+    gens = [reflection_matrix(a) for a in base(rplus)]
+    ident = identity_matrix(len(rplus[0]))
+    group = {ident}
+    layer = [ident]
+    while layer:
+        layer = [m for m in {mat_mul(m, g) for m in layer for g in gens} if m not in group]
+        group.update(layer)
+    rho = weyl_vector(rplus)
+    terms = {}
+    for m in group:
+        key = tuple(r - x for r, x in zip(rho, mat_vec(m, rho)))
+        terms[key] = terms.get(key, 0) + int(mat_det(m))
+    return terms
+
+
+@pytest.mark.parametrize("rplus", [[(1, 0), (1, 1)], [(1, 0), (-3, 3)]])
+def test_denominator_rhs_of_sets_that_are_not_root_systems(rplus):
+    # <rho, a^v> is 2 and 3/2, or -2 and 5/6, on the simple roots: the orbit
+    # step shifts by <rho, a^v> a, not by a
+    rplus = [vector(a) for a in rplus]
+    expected = _matrix_alternating_sum(rplus)
+    assert len(expected) == 8
+    assert denominator_rhs(rplus).terms == expected
 
 
 def test_characterize_multiplicity_two():
