@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
+from operator import mul
 
 from .exact import (
     AffineVector,
     Q,
     Vector,
+    _common_denominator,
+    _frac_key,
+    _int_key,
     affine,
     inner,
     is_zero,
@@ -24,15 +28,17 @@ from .exact import (
     zero_vector,
 )
 from .finite_root import (
-    GroupTooLargeError,
     Matrix,
     RootSystem,
     VerdictMismatchError,
+    _components,
+    _only_opposite_parallels,
     _orbit_walk,
+    _reflection_closure,
     base,
     positive_roots,
 )
-from .group_ring import GroupRingElement, _frac_key, truncated_product
+from .group_ring import GroupRingElement, truncated_product
 from .quadric import ParaboloidFit, fit_paraboloid, paraboloid_fit_to_json
 
 DEFAULT_AFFINE_BOUND = 10**6
@@ -281,71 +287,37 @@ class AffineAxiomReport:
         return self.ar1 and self.ar2 and self.ar3 and self.ar4 and self.ar5
 
 
-def _real_pm(items) -> list[AffineVector]:
-    out = []
-    for av, _ in items:
-        if not is_zero(av.part):
-            out.append(av)
-            out.append(AffineVector(-av.level, vneg(av.part)))
-    return out
-
-
 def check_affine_axioms(spec: AffineSupportSpec) -> AffineAxiomReport:
     """AR1-AR5 plus irreducibility, all relative to the truncation cutoff.
 
     AR1 asks the truncated real roots to span the level axis together with
     the span of their parts; AR2 closure is demanded only for reflection
     images whose grade stays within the cutoff in absolute value; AR4 is
-    finiteness, witnessed by the enumeration itself.
+    finiteness, witnessed by the enumeration itself.  On integer keys, AR2
+    and AR3 share one reflection pass with mirror (0; part), as in FR2/FR3.
     """
-    items = enumerate_support(spec)
-    nhat = spec.grading
+    real = [av.flatten() for av, _ in enumerate_support(spec) if not is_zero(av.part)]
+    flat = {*real, *map(vneg, real)}
     c = spec.cutoff
-    pm = _real_pm(items)
-    flat = {av.flatten() for av in pm}
 
-    part_rank = span_rank(sorted({av.part for av in pm}))[0]
+    part_rank = span_rank(sorted({f[1:] for f in flat}))[0]
     rank = span_rank(sorted(flat))[0]
     ar1 = rank == 1 + part_rank
 
-    ar2 = True
-    for a in pm:
-        for b in pm:
-            img = affine_reflect_vec(a, b)
-            if abs(grade(img, nhat)) <= c and img.flatten() not in flat:
-                ar2 = False
-                break
-        if not ar2:
-            break
+    g = spec.grading.flatten()
+    scale = _common_denominator([*flat, g])
+    keys = {_int_key(f, scale) for f in flat}
+    gint = _int_key(g, scale)
+    # |grade(v)| <= c  <=>  |<v_int, g_int>| * den <= num, with num/den = c * scale^2
+    num, den = (c * scale * scale).as_integer_ratio()
 
-    ar3 = all(
-        (2 * affine_inner(a, b) / affine_norm_sq(a)).denominator == 1 for a in pm for b in pm
-    )
+    def inside(u) -> bool:
+        return abs(sum(map(mul, gint, u))) * den <= num
 
-    ar5 = True
-    flat_list = sorted(flat)
-    for a in flat_list:
-        j = next(i for i, x in enumerate(a) if x != 0)
-        for b in flat_list:
-            t = b[j] / a[j]
-            if b == vscale(t, a) and t not in (1, -1):
-                ar5 = False
-                break
-        if not ar5:
-            break
-
-    parts = sorted({av.part for av in pm})
-    adj = {p: [q for q in parts if q != p and inner(p, q) != 0] for p in parts}
-    seen: set[Vector] = set()
-    if parts:
-        stack = [parts[0]]
-        while stack:
-            p = stack.pop()
-            if p in seen:
-                continue
-            seen.add(p)
-            stack.extend(adj[p])
-    irreducible = len(seen) == len(parts) and bool(parts)
+    steps = [((0, *k[1:]), sum(x * x for x in k[1:]), k) for k in keys]
+    ar2, ar3 = _reflection_closure(steps, keys, inside)
+    ar5 = _only_opposite_parallels(keys)
+    irreducible = len(_components(sorted({k[1:] for k in keys}))) == 1
 
     return AffineAxiomReport(
         ar1=ar1,
@@ -356,7 +328,7 @@ def check_affine_axioms(spec: AffineSupportSpec) -> AffineAxiomReport:
         irreducible=irreducible,
         rank=rank,
         cutoff=c,
-        real_count=len(pm) // 2,
+        real_count=len(real),
     )
 
 
@@ -365,16 +337,8 @@ def check_affine_axioms(spec: AffineSupportSpec) -> AffineAxiomReport:
 
 def _affine_base(items, grading: AffineVector) -> list[AffineVector]:
     """Positive real items that are not sums of two positive items (isotropic included)."""
-    flat = {av.flatten() for av, _ in items}
-    out = []
-    for av, _ in items:
-        if is_zero(av.part):
-            continue
-        f = av.flatten()
-        if not any(vsub(f, x) in flat for x in flat if x != f):
-            out.append(av)
-    out.sort(key=lambda a: (grade(a, grading), a.level, a.part))
-    return out
+    out = [unflatten(f) for f in base([av.flatten() for av, _ in items]) if not is_zero(f[1:])]
+    return sorted(out, key=lambda a: (grade(a, grading), a.level, a.part))
 
 
 def affine_weyl_rhs(spec: AffineSupportSpec, bound: int = DEFAULT_AFFINE_BOUND) -> GroupRingElement:

@@ -1,10 +1,11 @@
-"""Exact rational vectors, linear solving, and generic separating functionals."""
+"""Exact rational vectors, integer keys, linear solving, and generic separating functionals."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
+from math import lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -62,6 +63,25 @@ def inner(u: Vector, v: Vector) -> Fraction:
 
 def norm_sq(v: Vector) -> Fraction:
     return inner(v, v)
+
+
+# -- integer keys: coordinates times a common denominator, for exact hot loops ------
+
+
+def _common_denominator(vectors: Iterable[Vector]) -> int:
+    d = 1
+    for v in vectors:
+        for c in v:
+            d = lcm(d, c.denominator)
+    return d
+
+
+def _int_key(v: Vector, scale: int) -> tuple[int, ...]:
+    return tuple(int(c * scale) for c in v)
+
+
+def _frac_key(k: tuple[int, ...], scale: int) -> Vector:
+    return tuple(Fraction(x, scale) for x in k)
 
 
 @dataclass(frozen=True)

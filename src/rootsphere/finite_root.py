@@ -5,12 +5,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
-from operator import mul
+from math import factorial, gcd, prod
+from operator import add, mul
 from typing import NamedTuple
 
-from .exact import Q, Vector, inner, norm_sq, span_rank, vadd, vector, vneg, vscale, vsub, zero_vector
-from .group_ring import GroupRingElement, SupportMap, _common_denominator, _frac_key, _int_key, expand_product
+from .exact import (
+    Q,
+    Vector,
+    _common_denominator,
+    _frac_key,
+    _int_key,
+    inner,
+    norm_sq,
+    span_rank,
+    vadd,
+    vector,
+    vneg,
+    vscale,
+    vsub,
+    zero_vector,
+)
+from .group_ring import GroupRingElement, SupportMap, expand_product
 from .quadric import SphereFit, fit_sphere, sphere_fit_to_json
 
 
@@ -123,26 +138,56 @@ def check_axioms(rs: RootSystem) -> AxiomReport:
     FR1 (spanning) is relative to the span of the set itself, hence always
     true and reported with the rank; FR4 (finiteness) is true for any finite
     input.  FR2 is closure under all reflections, FR3 integrality of the
-    Cartan pairings, FR5 that the only parallel root pairs are a, -a.
+    Cartan pairings, FR5 that the only parallel root pairs are a, -a.  On
+    integer keys, FR2 and FR3 share one pass over the pairs.
     """
     roots = rs.roots
-    rset = set(roots)
     rank = span_rank(roots)[0]
-
-    fr2 = all(reflect(b, a) in rset for a in roots for b in roots)
-    fr3 = all((2 * inner(a, b) / norm_sq(a)).denominator == 1 for a in roots for b in roots)
-
-    fr5 = True
-    for a in roots:
-        j = next(i for i, c in enumerate(a) if c != 0)
-        for b in roots:
-            t = b[j] / a[j]
-            if b == vscale(t, a) and t not in (1, -1):
-                fr5 = False
-                break
-        if not fr5:
-            break
+    scale = _common_denominator(roots)
+    keys = {_int_key(a, scale) for a in roots}
+    fr2, fr3 = _reflection_closure([(k, sum(map(mul, k, k)), k) for k in keys], keys)
+    fr5 = _only_opposite_parallels(keys)
     return AxiomReport(fr1=True, fr2=fr2, fr3=fr3, fr4=True, fr5=fr5, rank=rank)
+
+
+def _reflection_closure(steps, keys, inside=None) -> tuple[bool, bool]:
+    """(closed, integral) for the steps (m, <m, m>, r): v -> v - (2<m, v>/<m, m>) r on keys.
+
+    closed: every image is a key (every image with inside(image), when given);
+    integral: every coefficient 2<m, v>/<m, m> is an integer.  A coefficient
+    that is not an integer stays an exact Fraction, so its image is exact too.
+    """
+    closed = integral = True
+    for m, mm, r in steps:
+        for v in keys:
+            num = 2 * sum(map(mul, m, v))
+            c, rem = divmod(num, mm)
+            if rem:
+                integral = False
+                c = Fraction(num, mm)
+            if closed:
+                u = tuple(x - c * y for x, y in zip(v, r))
+                if u not in keys and (inside is None or inside(u)):
+                    closed = False
+        if not (closed or integral):
+            break
+    return closed, integral
+
+
+def _only_opposite_parallels(keys) -> bool:
+    """True when the only parallel pairs among nonzero integer keys are k, -k.
+
+    Each primitive direction, signed so that its first nonzero coordinate is
+    positive, may carry one length only.
+    """
+    length: dict[tuple[int, ...], int] = {}
+    for k in keys:
+        g = gcd(*k)
+        if next(x for x in k if x) < 0:
+            g = -g
+        if length.setdefault(tuple(x // g for x in k), abs(g)) != abs(g):
+            return False
+    return True
 
 
 class PositiveSystem(NamedTuple):
@@ -167,8 +212,10 @@ def positive_roots(rs: RootSystem) -> PositiveSystem:
 def base(rplus) -> list[Vector]:
     """Elements of the positive half that are not sums of two of its elements."""
     pos = [vector(a) for a in rplus]
-    sums = {vadd(a, b) for a in pos for b in pos}
-    return sorted(a for a in pos if a not in sums)
+    scale = _common_denominator(pos)
+    keys = [_int_key(a, scale) for a in pos]
+    sums = {tuple(map(add, x, y)) for x in keys for y in keys}
+    return sorted(a for a, k in zip(pos, keys) if k not in sums)
 
 
 def weyl_vector(rplus) -> Vector:
@@ -240,14 +287,7 @@ def weyl_order(roots) -> int:
 
 
 def _order_of_components(components) -> int:
-    return _prod(_component_order(letter, rank) for letter, rank in components)
-
-
-def _prod(it) -> int:
-    out = 1
-    for x in it:
-        out *= x
-    return out
+    return prod(_component_order(letter, rank) for letter, rank in components)
 
 
 def _orbit_walk(mirrors, roots, shifts, bound: int, grading=None, cutoff=None):
@@ -464,12 +504,9 @@ def _iso(c1, c2) -> bool:
     return go(0)
 
 
-def _classify_components(simples: list[Vector]) -> list[tuple[str, int]]:
-    """Dynkin types of the components of the system with these simple roots."""
-    n = len(simples)
-    if n == 0:
-        raise ValueError("unrecognized")
-    # connected components of the non-orthogonality graph on simple roots
+def _components(vectors) -> list[list[int]]:
+    """Connected components of the non-orthogonality graph, as lists of indices."""
+    n = len(vectors)
     comp = list(range(n))
 
     def find(x):
@@ -480,14 +517,20 @@ def _classify_components(simples: list[Vector]) -> list[tuple[str, int]]:
 
     for i in range(n):
         for j in range(i + 1, n):
-            if inner(simples[i], simples[j]) != 0:
+            if sum(map(mul, vectors[i], vectors[j])) != 0:
                 comp[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
 
+
+def _classify_components(simples: list[Vector]) -> list[tuple[str, int]]:
+    """Dynkin types of the components of the system with these simple roots."""
+    if not simples:
+        raise ValueError("unrecognized")
     names = []
-    for idx in groups.values():
+    for idx in _components(simples):
         sub = [simples[i] for i in idx]
         cartan = _cartan_matrix(sub)
         hit = next(

@@ -3,15 +3,23 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import comb, lcm
+from heapq import heappop, heappush
+from math import comb, floor
+from operator import mul as _imul
 from typing import Iterable
 
-from .exact import Q, Vector, generic_separator, inner, rational, vadd, vector, vneg, vsub, zero_vector
+from .exact import Vector, _common_denominator, _frac_key, _int_key, rational, vector, vneg, zero_vector
+
+# Resource limit of exact division: quotient terms produced before giving up.
+MAX_DIVISION_STEPS = 200000
 
 
 class NotDivisibleError(ArithmeticError):
     pass
+
+
+class DivisionTooLargeError(ArithmeticError):
+    """Exact division reached MAX_DIVISION_STEPS quotient terms without a verdict."""
 
 
 @dataclass(frozen=True)
@@ -68,12 +76,9 @@ def monomial(dim: int, v, c: int = 1) -> GroupRingElement:
 def mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    out: dict[Vector, int] = {}
-    for va, ca in a.terms.items():
-        for vb, cb in b.terms.items():
-            k = vadd(va, vb)
-            out[k] = out.get(k, 0) + ca * cb
-    return GroupRingElement(a.dim, out)
+    scale = _common_denominator([*a.terms, *b.terms])
+    out = _mul_raw(_int_terms(a, scale), _int_terms(b, scale))
+    return GroupRingElement(a.dim, {_frac_key(k, scale): c for k, c in out.items()})
 
 
 def support(x: GroupRingElement) -> list[Vector]:
@@ -138,25 +143,10 @@ def shift_equivalent(m: SupportMap, b) -> SupportMap:
 
 
 # -- internal integer-key kernels ------------------------------------------------
-#
-# Products run on integer tuples (all coordinates scaled by a common
-# denominator): exact, and much faster than Fraction tuples in the hot loop.
 
 
-def _common_denominator(vectors: Iterable[Vector]) -> int:
-    d = 1
-    for v in vectors:
-        for c in v:
-            d = lcm(d, c.denominator)
-    return d
-
-
-def _int_key(v: Vector, scale: int) -> tuple[int, ...]:
-    return tuple(int(c * scale) for c in v)
-
-
-def _frac_key(k: tuple[int, ...], scale: int) -> Vector:
-    return tuple(Fraction(x, scale) for x in k)
+def _int_terms(x: GroupRingElement, scale: int) -> dict:
+    return {_int_key(v, scale): c for v, c in x.terms.items()}
 
 
 def _mul_raw(a: dict, b: dict) -> dict:
@@ -227,44 +217,29 @@ def truncated_product(factors: Iterable[tuple], grading, cutoff) -> GroupRingEle
     scale = _common_denominator([v for v, _ in fac] + [nhat])
     gint = _int_key(nhat, scale)
     # grade(v) <= cutoff  <=>  <v_int, g_int> <= cutoff * scale^2
-    threshold = cutoff * scale * scale
+    threshold = floor(cutoff * scale * scale)
 
     acc = {(0,) * dim: 1}
-    grades = {(0,) * dim: 0}
     for v, mult in fac:
         kv = _int_key(v, scale)
-        gv = sum(x * y for x, y in zip(kv, gint))
-        if gv <= 0:
+        if sum(map(_imul, kv, gint)) <= 0:
             raise ValueError("a factor with nonpositive grade")
-        leaf = [((0,) * dim, 1, 0)]
-        for j in range(1, mult + 1):
-            leaf.append((tuple(x * j for x in kv), (-1) ** j * comb(mult, j), j * gv))
-        out: dict = {}
-        og: dict = {}
-        for ka, ca in acc.items():
-            ga = grades[ka]
-            for kd, cd, gd in leaf:
-                g = ga + gd
-                if g > threshold:
-                    continue
-                k = tuple(map(int.__add__, ka, kd))
-                if k in out:
-                    out[k] += ca * cd
-                else:
-                    out[k] = ca * cd
-                    og[k] = g
-        acc = {k: c for k, c in out.items() if c}
-        grades = {k: og[k] for k in acc}
+        acc = _mul_raw(acc, _binomial_factor(kv, mult))
+        acc = {k: c for k, c in acc.items() if sum(map(_imul, k, gint)) <= threshold}
     return GroupRingElement(dim, {_frac_key(k, scale): c for k, c in acc.items()})
 
 
 def exact_divide(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     """Exact quotient a / b in the group ring; raises NotDivisibleError otherwise.
 
-    Long division ordered by (generic-separator grade, lexicographic key):
-    a translation-invariant total order, so leading terms multiply.  For a
-    true quotient q the loop removes one term of q per step; non-divisibility
-    is caught by coefficient mismatch or by a quotient-grade window check.
+    Long division on integer keys from the lexicographically least term up;
+    that order is total and translation-invariant, so least terms multiply.
+    If a = q*b, the coordinate-extreme terms of q*b cannot cancel (Newton
+    polytopes add; Ostrowski 1921), so every term t of q has
+    min_j(a) - min_j(b) <= t_j <= max_j(a) - max_j(b) on every coordinate j.
+    A quotient term outside that window proves non-divisibility; the terms
+    strictly increase inside its finite box, so the loop ends by itself.
+    DivisionTooLargeError is a resource limit: MAX_DIVISION_STEPS terms.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
@@ -273,43 +248,39 @@ def exact_divide(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     if not a.terms:
         return GroupRingElement(a.dim, {})
 
-    sep = generic_separator(sorted(set(a.terms) | set(b.terms)), zero_vector(a.dim))
+    scale = _common_denominator([*a.terms, *b.terms])
+    rem = _int_terms(a, scale)
+    den = _int_terms(b, scale)
+    lo = [min(xs) - min(ys) for xs, ys in zip(zip(*rem), zip(*den))]
+    hi = [max(xs) - max(ys) for xs, ys in zip(zip(*rem), zip(*den))]
+    lt_b = min(den)
+    lc_b = den[lt_b]
 
-    def grade(v: Vector) -> Fraction:
-        return inner(v, sep)
-
-    def order(v: Vector):
-        return (grade(v), v)
-
-    lt_b = max(b.terms, key=order)
-    lc_b = b.terms[lt_b]
-    lo = min(grade(v) for v in a.terms) - min(grade(v) for v in b.terms)
-    hi = max(grade(v) for v in a.terms) - grade(lt_b)
-
-    rem = dict(a.terms)
-    quot: dict[Vector, int] = {}
-    steps = 0
+    # a min-heap (a sorted list is one) of the remainder's keys; a key whose
+    # term cancelled is skipped when it comes up
+    heap = sorted(rem)
+    quot: dict = {}
     while rem:
-        steps += 1
-        if steps > 200000:
+        lt_r = heappop(heap)
+        if lt_r not in rem:
+            continue
+        if len(quot) == MAX_DIVISION_STEPS:
+            raise DivisionTooLargeError("division step limit reached")
+        c, r = divmod(rem[lt_r], lc_b)
+        t = tuple(map(int.__sub__, lt_r, lt_b))
+        if r or not all(l <= x <= h for l, x, h in zip(lo, t, hi)):
             raise NotDivisibleError("not divisible")
-        lt_r = max(rem, key=order)
-        lc_r = rem[lt_r]
-        if lc_r % lc_b != 0:
-            raise NotDivisibleError("not divisible")
-        t = vsub(lt_r, lt_b)
-        if not (lo <= grade(t) <= hi):
-            raise NotDivisibleError("not divisible")
-        c = lc_r // lc_b
-        quot[t] = quot.get(t, 0) + c
-        for vb, cb in b.terms.items():
-            k = vadd(t, vb)
+        quot[t] = c
+        for kb, cb in den.items():
+            k = tuple(map(int.__add__, t, kb))
             nc = rem.get(k, 0) - c * cb
             if nc:
+                if k not in rem:
+                    heappush(heap, k)
                 rem[k] = nc
             else:
-                rem.pop(k, None)
-    return GroupRingElement(a.dim, quot)
+                del rem[k]
+    return GroupRingElement(a.dim, {_frac_key(k, scale): c for k, c in quot.items()})
 
 
 # -- serialization ----------------------------------------------------------------

@@ -17,7 +17,6 @@ from .exact import (
     vector,
     vscale,
     vsub,
-    zero_vector,
 )
 
 

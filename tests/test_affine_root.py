@@ -270,6 +270,101 @@ def test_axioms_orthogonal_ladders_reducible():
     assert not rep.irreducible
 
 
+def _parallel(f, h):
+    """All 2x2 minors of the pair vanish."""
+    return all(x * h[j] == f[j] * y for i, (x, y) in enumerate(zip(f, h)) for j in range(i))
+
+
+def _affine_axioms_by_definition(spec):
+    """AR2, AR3, AR5 and irreducibility from the Fraction definitions, pair by pair."""
+    pm = [av for av, _ in enumerate_support(spec) if any(av.part)]
+    pm += [AffineVector(-av.level, tuple(-c for c in av.part)) for av in pm]
+    flat = {av.flatten() for av in pm}
+    ar2 = all(
+        abs(grade(img, spec.grading)) > spec.cutoff or img.flatten() in flat
+        for a in pm
+        for img in (affine_reflect_vec(a, b) for b in pm)
+    )
+    ar3 = all((2 * affine_inner(a, b) / affine_norm_sq(a)).denominator == 1 for a in pm for b in pm)
+    ar5 = all(f == h or f == tuple(-c for c in h) or not _parallel(f, h) for f in flat for h in flat)
+    parts = {av.part for av in pm}
+    reached = {min(parts)} if parts else set()
+    grown = True
+    while grown:
+        new = {p for p in parts if p not in reached and any(inner(p, q) != 0 for q in reached)}
+        reached |= new
+        grown = bool(new)
+    return ar2, ar3, ar5, bool(parts) and reached == parts
+
+
+def _random_explicit_specs(rng, count):
+    """Seeded ExplicitAffineSupports: truncated catalog supports, some with an
+    item dropped, a ladder scaled or a parallel item added, and random
+    rational items with parallel multiples and reflection images."""
+    for _ in range(count):
+        if rng.random() < 0.4:
+            gen = untwisted_affine(rng.choice(["A1", "A2", "B2", "G2"]), rng.choice([1, 2]))
+            grading, cutoff = gen.grading, gen.cutoff
+            items = list(enumerate_support(gen))
+            real = [i for i, (av, _) in enumerate(items) if any(av.part)]
+            move = rng.random()
+            if move < 0.2:
+                del items[rng.choice(real)]
+            elif move < 0.35:
+                # truncate at the grade of a real item and drop it: an image
+                # of grade exactly the cutoff goes missing
+                i = rng.choice(real)
+                cutoff = grade(items[i][0], grading)
+                del items[i]
+            elif move < 0.55:
+                # one direction's ladder scaled by a rational: images stay lattice
+                # points, pairings need not be integers
+                d = items[rng.choice(real)][0].part
+                t = Q(rng.choice([1, 3]), rng.choice([2, 3]))
+                items = [(AffineVector(t * av.level, tuple(t * c for c in av.part)), m)
+                         if av.part in (d, tuple(-c for c in d)) else (av, m) for av, m in items]
+            elif move < 0.75:
+                av = items[rng.choice(real)][0]
+                items.append((AffineVector(av.level / 2, tuple(c / 2 for c in av.part)), 1))
+        else:
+            dim = rng.randint(1, 2)
+            grading = AffineVector(Q(1), tuple(Q(rng.randint(1, 4), rng.choice([5, 7])) for _ in range(dim)))
+            cutoff = Q(rng.randint(2, 6), 2)
+            items = []
+            for _ in range(rng.randint(1, 6)):
+                part = tuple(Q(rng.randint(-2, 2), rng.choice([1, 2, 3])) for _ in range(dim))
+                items.append((AffineVector(Q(rng.randint(0, 4), 2), part), 1))
+            for av, _ in list(items):
+                t = rng.choice([None, Q(2), Q(1, 2), Q(-3)])
+                if t is not None:
+                    items.append((AffineVector(t * av.level, tuple(t * c for c in av.part)), 1))
+            for _ in range(rng.randint(0, 3)):
+                a, b = rng.choice(items)[0], rng.choice(items)[0]
+                if any(a.part):
+                    items.append((affine_reflect_vec(a, b), 1))
+        items = [(av, m) for av, m in items
+                 if (av.level or any(av.part)) and 0 < grade(av, grading) <= cutoff]
+        if items:
+            yield ExplicitAffineSupport(len(grading.part), tuple(items), grading, cutoff)
+
+
+def test_affine_axioms_match_fraction_definitions():
+    rng = random.Random(2718)
+    seen = set()
+    for spec in _random_explicit_specs(rng, 100):
+        rep = check_affine_axioms(spec)
+        expected = _affine_axioms_by_definition(spec)
+        assert (rep.ar2, rep.ar3, rep.ar5, rep.irreducible) == expected
+        seen.add(expected[:3])
+        items = enumerate_support(spec)
+        flat = {av.flatten() for av, _ in items}
+        sums = {tuple(x + y for x, y in zip(f, h)) for f in flat for h in flat}
+        got = _affine_base(items, spec.grading)
+        assert set(got) == {av for av, _ in items if any(av.part) and av.flatten() not in sums}
+    # closed supports with and without integral pairings, and parallel items
+    assert {(True, True, True), (True, False, True), (False, False, True), (True, True, False)} <= seen
+
+
 def test_affine_base_a1():
     items = enumerate_support(a1_spec(3))
     got = _affine_base(items, affine(1, ["1/2"]))

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from rootsphere.exact import Q, inner, norm_sq, vadd, vector, vneg, zero_vector
+from rootsphere.exact import Q, inner, norm_sq, span_rank, vadd, vector, vneg, zero_vector
 from rootsphere.finite_root import (
     AxiomReport,
     GroupTooLargeError,
@@ -101,6 +101,60 @@ def test_axioms_nonintegral():
     assert not rep.all_pass()
 
 
+def _axioms_by_definition(roots):
+    """FR2, FR3, FR5 straight from the Fraction definitions, pair by pair."""
+    rset = set(roots)
+    fr2 = all(reflect(b, a) in rset for a in roots for b in roots)
+    fr3 = all((2 * inner(a, b) / norm_sq(a)).denominator == 1 for a in roots for b in roots)
+    fr5 = all(b in (a, vneg(a)) or span_rank([a, b])[0] == 2 for a in roots for b in roots)
+    return fr2, fr3, fr5
+
+
+def _random_rational_root_sets(rng, count):
+    """Seeded candidate root sets: random rational vectors with parallel
+    multiples of ratio 2, 1/2 and -3, reflection images added for random
+    pairs (so non-integer pairings can still have their image in the set),
+    mostly closed under negation, and B2/G2 with the long roots scaled
+    (closed, with non-integer pairings)."""
+    from rootsphere.catalog import standard_finite
+
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.25:
+            name = rng.choice(["B2", "G2"])
+            roots = list(standard_finite(name).roots.roots)
+            long_sq = max(norm_sq(r) for r in roots)
+            t = Q(rng.choice([3, 5, -2]), rng.choice([1, 2, 3]))
+            yield [tuple(t * c for c in r) if norm_sq(r) == long_sq else r for r in roots]
+            continue
+        dim = rng.randint(1, 3)
+        vs = []
+        while len(vs) < rng.randint(1, 4):
+            v = tuple(Q(rng.randint(-2, 2), rng.choice([1, 2, 3])) for _ in range(dim))
+            if any(v):
+                vs.append(v)
+        for v in list(vs):
+            if rng.random() < 0.4:
+                vs.append(tuple(rng.choice([Q(2), Q(1, 2), Q(-3)]) * c for c in v))
+        for _ in range(rng.randint(0, 3)):
+            vs.append(reflect(rng.choice(vs), rng.choice(vs)))
+        yield vs + [vneg(v) for v in vs] if rng.random() < 0.7 else vs
+
+
+def test_axioms_match_fraction_definitions():
+    rng = random.Random(4096)
+    seen = set()
+    for roots in _random_rational_root_sets(rng, 150):
+        rs = RootSystem(len(roots[0]), roots)
+        rep = check_axioms(rs)
+        expected = _axioms_by_definition(rs.roots)
+        assert (rep.fr2, rep.fr3, rep.fr5) == expected
+        seen.add(expected)
+    # every combination that can occur was exercised, including closed sets
+    # with non-integer pairings (FR2 without FR3)
+    assert {(True, True, True), (True, False, True), (False, False, False), (True, True, False)} <= seen
+
+
 def test_positive_roots():
     for roots, n in [(A2_ROOTS, 3), (B2_ROOTS, 4), ([vector([1]), vector([-1])], 1)]:
         rs = RootSystem(len(roots[0]), roots)
@@ -116,6 +170,11 @@ def test_base_simple_roots():
     assert set(base(rplus)) == {A, B}
     rplus2, _ = positive_roots(RootSystem(2, B2_ROOTS))
     assert set(base(rplus2)) == {B2_A, B2_B}
+    # the pairwise-sum definition, on rational sets with parallel pairs
+    rng = random.Random(1729)
+    for roots in _random_rational_root_sets(rng, 60):
+        pos = positive_roots(RootSystem(len(roots[0]), roots)).rplus
+        assert base(pos) == sorted(a for a in pos if not any(vadd(x, y) == a for x in pos for y in pos))
 
 
 def test_weyl_vector():

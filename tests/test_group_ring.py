@@ -6,6 +6,8 @@ import pytest
 
 from rootsphere.exact import Q, vector, zero_vector
 from rootsphere.group_ring import (
+    MAX_DIVISION_STEPS,
+    DivisionTooLargeError,
     GroupRingElement,
     NotDivisibleError,
     SignedSupportMap,
@@ -28,10 +30,10 @@ A = vector([1, -1, 0])
 B = vector([0, 1, -1])
 
 
-def rand_element(rng, dim, nterms=3, coord=2, cmax=3):
+def rand_element(rng, dim, nterms=3, coord=2, cmax=3, dens=(1,)):
     x = GroupRingElement(dim, {})
     for _ in range(nterms):
-        v = tuple(Q(rng.randint(-coord, coord)) for _ in range(dim))
+        v = tuple(Q(rng.randint(-coord, coord), rng.choice(dens)) for _ in range(dim))
         c = rng.randint(-cmax, cmax)
         x = x + monomial(dim, v, c)
     return x
@@ -227,11 +229,40 @@ def test_exact_divide_parallel():
     assert exact_divide(num, den) == one(1) + monomial(1, (Q(1),))
 
 
+def _element(dim, terms):
+    return GroupRingElement(dim, {vector(v): c for v, c in terms})
+
+
 def test_exact_divide_not_divisible():
-    num = one(2) - monomial(2, (Q(1), Q(0)))
-    den = one(2) - monomial(2, (Q(0), Q(1)))
-    with pytest.raises(NotDivisibleError):
+    cases = [
+        (one(2) - monomial(2, (Q(1), Q(0))), one(2) - monomial(2, (Q(0), Q(1)))),
+        # 13 terms by 3, not divisible: the fifth quotient term leaves the
+        # per-coordinate window, long before any step limit
+        (
+            _element(2, [
+                (["-9/2", "-3"], 2), (["-3", "-4/3"], -4), (["-4", "-1/3"], 4),
+                (["1/2", "-8/3"], -2), (["2", "-1"], 4), (["1", "0"], -4),
+                (["-1/2", "-3/2"], -2), (["1", "1/6"], 4), (["0", "7/6"], -4),
+                (["-1/2", "-5/2"], 1), (["1", "-5/6"], -2), (["0", "1/6"], 2),
+                (["-1/3", "1"], 2),
+            ]),
+            _element(2, [(["-3/2", "-2"], 1), (["0", "-1/3"], -2), (["-1", "2/3"], 2)]),
+        ),
+    ]
+    for num, den in cases:
+        with pytest.raises(NotDivisibleError):
+            exact_divide(num, den)
+
+
+def test_exact_divide_step_limit_is_typed():
+    # (1 - e^200001) / (1 - e) = 1 + e + ... + e^200000 divides, but its
+    # 200001 quotient terms exceed the step limit: the error must say so,
+    # not claim that the division is impossible
+    num = one(1) - monomial(1, (Q(MAX_DIVISION_STEPS + 1),))
+    den = one(1) - monomial(1, (Q(1),))
+    with pytest.raises(DivisionTooLargeError, match="division step limit reached"):
         exact_divide(num, den)
+    assert not issubclass(DivisionTooLargeError, NotDivisibleError)
 
 
 def test_exact_divide_zero_cases():
@@ -244,10 +275,10 @@ def test_exact_divide_zero_cases():
 def test_exact_divide_round_trip():
     rng = random.Random(314)
     done = 0
-    while done < 25:
-        dim = rng.randint(1, 2)
-        q = rand_element(rng, dim)
-        b = rand_element(rng, dim, nterms=2)
+    while done < 60:
+        dim = rng.randint(1, 4)
+        q = rand_element(rng, dim, nterms=4, dens=(1, 2, 3))
+        b = rand_element(rng, dim, nterms=3, dens=(1, 2, 3))
         if not b.terms or not q.terms:
             continue
         prod = mul(q, b)
