@@ -360,7 +360,7 @@ def affine_weyl_rhs(spec: AffineSupportSpec, bound: int = DEFAULT_AFFINE_BOUND) 
     roots = [a.flatten() for a in simples]
     mirrors = [(Q(0),) + a.part for a in simples]
     nodes, scale = _orbit_walk(mirrors, roots, roots, bound, spec.grading.flatten(), spec.cutoff)
-    return GroupRingElement(1 + spec.dim, {_frac_key(key, scale): (-1) ** d for key, d, _ in nodes})
+    return GroupRingElement._unchecked(1 + spec.dim, {_frac_key(key, scale): (-1) ** d for key, d, _ in nodes})
 
 
 # -- characterization ----------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -182,21 +182,34 @@ def solve_linear(rows: Sequence[Iterable], rhs: Sequence, ncols: int | None = No
 
 
 def span_rank(vectors: Sequence[Iterable]) -> tuple[int, list[int]]:
-    """Rank of the span plus the indices of a greedy basis, in input order."""
-    basis: list[tuple[list[Fraction], int]] = []
+    """Rank of the span plus the indices of a greedy basis, in input order.
+
+    Row i is picked when it is independent of the rows picked before it, so
+    the answer depends on the input alone.  The elimination is fraction-free
+    (cf. Bareiss 1968): each row is scaled to integers by its own denominator
+    lcm, which keeps its direction; a row is reduced by the basis as
+    w <- b[p]*w - w[p]*b, which clears w at the pivot p of b and keeps the
+    zeros at earlier pivots; a new basis row is divided by its gcd.  Once
+    the rank is the row width, every later row is dependent.
+    """
+    basis: list[tuple[list[int], int]] = []
     picked: list[int] = []
     for i, raw in enumerate(vectors):
-        w = list(vector(raw))
+        row = [c if isinstance(c, int) else rational(c) for c in raw]
+        d = lcm(*(c.denominator for c in row))
+        w = [c.numerator * (d // c.denominator) for c in row]
         for bv, pc in basis:
-            if w[pc] != 0:
-                f = w[pc]
-                w = [x - f * y for x, y in zip(w, bv)]
-        pivot = next((j for j, x in enumerate(w) if x != 0), None)
+            f = w[pc]
+            if f:
+                g = bv[pc]
+                w = [g * x - f * y for x, y in zip(w, bv)]
+        pivot = next((j for j, x in enumerate(w) if x), None)
         if pivot is not None:
-            inv = w[pivot]
-            w = [x / inv for x in w]
-            basis.append((w, pivot))
+            g = gcd(*w)
+            basis.append(([x // g for x in w], pivot))
             picked.append(i)
+            if len(picked) == len(w):
+                break
     return len(picked), picked
 
 

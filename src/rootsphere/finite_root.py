@@ -398,7 +398,7 @@ def denominator_rhs(rplus, bound: int = DEFAULT_WEYL_BOUND) -> GroupRingElement:
     pos = [vector(a) for a in rplus]
     if not pos:
         raise ValueError("empty positive system")
-    return GroupRingElement(len(pos[0]), {w.orbit: w.det for w in enumerate_weyl(pos, bound)})
+    return GroupRingElement._unchecked(len(pos[0]), {w.orbit: w.det for w in enumerate_weyl(pos, bound)})
 
 
 # -- classification ----------------------------------------------------------------
@@ -573,7 +573,8 @@ def characterize_finite(m: SupportMap) -> FiniteVerdict:
     to its span.  Disagreement raises VerdictMismatchError.
     """
     expansion = expand_product(m)
-    fit = fit_sphere(expansion.support())
+    # the terms unsorted: the witness is unique, so the order cannot change it
+    fit = fit_sphere(list(expansion.terms))
     on_sphere = fit is not None
 
     s = set(m.entries)

@@ -41,6 +41,14 @@ class GroupRingElement:
             clean[v] = c
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _unchecked(cls, dim: int, terms: dict) -> "GroupRingElement":
+        """Element of terms already keyed by Fraction tuples of length dim, with no zero coefficient."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "dim", dim)
+        object.__setattr__(x, "terms", terms)
+        return x
+
     def support(self) -> list[Vector]:
         return sorted(self.terms)
 
@@ -78,7 +86,7 @@ def mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
         raise ValueError("dimension mismatch")
     scale = _common_denominator([*a.terms, *b.terms])
     out = _mul_raw(_int_terms(a, scale), _int_terms(b, scale))
-    return GroupRingElement(a.dim, {_frac_key(k, scale): c for k, c in out.items()})
+    return GroupRingElement._unchecked(a.dim, {_frac_key(k, scale): c for k, c in out.items()})
 
 
 def support(x: GroupRingElement) -> list[Vector]:
@@ -189,7 +197,7 @@ def expand_product(m: SupportMap) -> GroupRingElement:
             if len(layer) % 2:
                 nxt.append(layer[-1])
             layer = nxt
-        out = GroupRingElement(m.dim, {_frac_key(k, scale): c for k, c in layer[0].items()})
+        out = GroupRingElement._unchecked(m.dim, {_frac_key(k, scale): c for k, c in layer[0].items()})
     else:
         out = one(m.dim)
     for v, mult in m.items():
@@ -226,7 +234,7 @@ def truncated_product(factors: Iterable[tuple], grading, cutoff) -> GroupRingEle
             raise ValueError("a factor with nonpositive grade")
         acc = _mul_raw(acc, _binomial_factor(kv, mult))
         acc = {k: c for k, c in acc.items() if sum(map(_imul, k, gint)) <= threshold}
-    return GroupRingElement(dim, {_frac_key(k, scale): c for k, c in acc.items()})
+    return GroupRingElement._unchecked(dim, {_frac_key(k, scale): c for k, c in acc.items()})
 
 
 def exact_divide(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
@@ -280,7 +288,7 @@ def exact_divide(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
                 rem[k] = nc
             else:
                 del rem[k]
-    return GroupRingElement(a.dim, {_frac_key(k, scale): c for k, c in quot.items()})
+    return GroupRingElement._unchecked(a.dim, {_frac_key(k, scale): c for k, c in quot.items()})
 
 
 # -- serialization ----------------------------------------------------------------

@@ -9,7 +9,8 @@ from .exact import (
     AffineVector,
     Q,
     Vector,
-    inner,
+    _common_denominator,
+    _int_key,
     norm_sq,
     solve_linear,
     span_rank,
@@ -42,13 +43,24 @@ def _dedupe(points):
     return out
 
 
+def _dot(u, v) -> int:
+    return sum(x * y for x, y in zip(u, v))
+
+
 def fit_sphere(points) -> SphereFit | None:
     """Exact common sphere through the points, or None when there is none.
 
-    The witness center is the unique solution inside the affine hull of the
-    points (the circumcenter of the hull); consistency of the differenced
-    linear system there is equivalent to consistency in the ambient space,
-    since the equations only see the hull component of the center.
+    The witness center is the circumcenter of the affine hull of the points:
+    the one point of the hull at equal distance from all of them.  It is
+    unique, so the witness does not depend on which points span the hull.
+    The equations only see the hull component of a center, so a sphere
+    exists in the ambient space exactly when this one does.
+
+    On integer keys D_i = den*(p_i - p_0), a greedy basis B of the D_i gives
+    the k x k Gram system 2<B_i, B_j> t_j = |B_i|^2, and the center offset
+    is c - p_0 = N/(den*m) with m the common denominator of t and
+    N = sum_j m*t_j*B_j an integer vector.  Point i lies on the sphere
+    exactly when m*|D_i|^2 = 2<D_i, N>; the first one off it gives None.
     """
     pts = _dedupe(vector(p) for p in points)
     if not pts:
@@ -57,22 +69,28 @@ def fit_sphere(points) -> SphereFit | None:
     if any(len(p) != dim for p in pts):
         raise ValueError("dimension mismatch")
 
-    p0 = pts[0]
-    diffs = [vsub(p, p0) for p in pts[1:]]
+    den = _common_denominator(pts)
+    keys = [_int_key(p, den) for p in pts]
+    k0 = keys[0]
+    diffs = [tuple(x - y for x, y in zip(k, k0)) for k in keys[1:]]
     _, idx = span_rank(diffs)
     basis = [diffs[i] for i in idx]
-    rows = [[2 * inner(d, bj) for bj in basis] for d in diffs]
-    rhs = [norm_sq(d) for d in diffs]
-    sol = solve_linear(rows, rhs, ncols=len(basis))
-    if sol.kind == "inconsistent":
-        return None
+    gram = [[2 * _dot(bi, bj) for bj in basis] for bi in basis]
+    sol = solve_linear(gram, [_dot(b, b) for b in basis], ncols=len(basis))
     if sol.kind != "unique":
         raise ArithmeticError("hull-restricted sphere system must be determined")
 
-    center = p0
-    for t, bj in zip(sol.particular, basis):
-        center = vadd(center, vscale(t, bj))
-    radius_sq = norm_sq(vsub(p0, center))
+    m = _common_denominator([sol.particular])
+    u = _int_key(sol.particular, m)
+    offset = [sum(uj * b[i] for uj, b in zip(u, basis)) for i in range(dim)]
+    for d in diffs:
+        if m * _dot(d, d) != 2 * _dot(d, offset):
+            return None
+
+    p0 = pts[0]
+    scale = den * m
+    center = tuple(c + Q(x, scale) for c, x in zip(p0, offset))
+    radius_sq = Q(_dot(offset, offset), scale * scale)
     if radius_sq == 0:
         if len(pts) > 1:
             raise ArithmeticError("zero radius with distinct points")
@@ -92,6 +110,13 @@ def fit_paraboloid(points) -> ParaboloidFit | None:
     Substituting d = r * part(c) makes the differenced equations linear in
     (r, d).  A free r is pinned to 1; if r is forced nonpositive and no
     kernel direction moves it, there is no fit.
+
+    Only a greedy basis of the augmented rows [row | rhs] is solved.  Those
+    rows span the same row space as all rows, so they are inconsistent
+    exactly when the full system is, and otherwise have the same reduced row
+    echelon form, hence the same particular solution, kernel basis and
+    pinned witness.  Rows are scaled to integers by den^2 first, which
+    changes neither.
     """
     pts = _dedupe(points)
     if not pts:
@@ -101,12 +126,19 @@ def fit_paraboloid(points) -> ParaboloidFit | None:
         raise ValueError("dimension mismatch")
 
     p0 = pts[0]
-    rows = []
-    rhs = []
-    for p in pts[1:]:
-        rows.append([norm_sq(p.part) - norm_sq(p0.part)] + [-2 * x for x in vsub(p.part, p0.part)])
-        rhs.append(p.level - p0.level)
-    sol = solve_linear(rows, rhs, ncols=1 + n)
+    den = _common_denominator(p.flatten() for p in pts)
+    keys = [_int_key(p.flatten(), den) for p in pts]
+    l0, q0 = keys[0][0], keys[0][1:]
+    n0 = _dot(q0, q0)
+    aug = []
+    for k in keys[1:]:
+        q = k[1:]
+        aug.append((_dot(q, q) - n0, *(-2 * den * (x - y) for x, y in zip(q, q0)), den * (k[0] - l0)))
+    rank, idx = span_rank(aug)
+    if rank == n + 2:
+        # rank [A | b] = n + 2 > n + 1 >= rank A: b is outside the column space
+        return None
+    sol = solve_linear([aug[i][:-1] for i in idx], [aug[i][-1] for i in idx], ncols=1 + n)
     if sol.kind == "inconsistent":
         return None
 

@@ -154,6 +154,53 @@ def test_span_rank_matches_pivot_count():
         assert span_rank(rows)[0] == pivots
 
 
+def _span_rank_reference(vectors):
+    # greedy basis by Gauss-Jordan on Fractions
+    basis, picked = [], []
+    for i, raw in enumerate(vectors):
+        w = list(vector(raw))
+        for bv, pc in basis:
+            if w[pc] != 0:
+                f = w[pc]
+                w = [x - f * y for x, y in zip(w, bv)]
+        pivot = next((j for j, x in enumerate(w) if x != 0), None)
+        if pivot is not None:
+            w = [x / w[pivot] for x in w]
+            basis.append((w, pivot))
+            picked.append(i)
+    return len(picked), picked
+
+
+def test_span_rank_matches_fraction_reference():
+    rng = random.Random(8128)
+    past_full_rank = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        gens = [[Q(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        rows = []
+        for _ in range(rng.randint(0, 3 * n)):
+            kind = rng.randrange(5)
+            if kind == 0:
+                row = [0] * n
+            elif kind == 1 and rows:
+                s = Q(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
+                row = [s * x for x in rng.choice(rows)]
+            elif kind == 2:
+                # in the span of a few generators, so the rank stays below n
+                cs = [rng.randint(-2, 2) for _ in gens]
+                row = [sum(c * g[j] for c, g in zip(cs, gens)) for j in range(n)]
+            elif kind == 3:
+                row = [Q(rng.randint(-6, 6), 3) for _ in range(n)]
+            else:
+                row = [rng.randint(-2, 2) for _ in range(n)]
+            rows.append(rng.choice([list, vector])(row))
+        expected = _span_rank_reference(rows)
+        assert span_rank(rows) == expected
+        if expected[0] == n and len(rows) > expected[1][-1] + 1:
+            past_full_rank += 1
+    assert past_full_rank > 20
+
+
 def test_separator_orthogonality_forced():
     n = generic_separator([vector([1, 0]), vector([0, 1])], vector([1, 0]))
     assert inner(vector([1, 0]), n) == 0

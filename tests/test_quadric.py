@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rootsphere.exact import Q, affine, inner, norm_sq, vadd, vector, vsub, zero_vector
+from rootsphere.exact import Q, affine, inner, norm_sq, solve_linear, vadd, vector, vscale, vsub, zero_vector
 from rootsphere.quadric import (
     ParaboloidFit,
     SphereFit,
@@ -173,3 +173,121 @@ def test_fit_json():
         "c": {"level": "-1/4", "v": ["1/2"]},
         "r": "1",
     }
+
+
+# -- differential: the fits against the all-rows Gauss-Jordan route -----------------
+
+
+def _sphere_reference(points):
+    # center p0 + sum_j s_j d_j over all differences d_j: every consistent s
+    # gives the hull circumcenter, so no basis is picked
+    pts = list(dict.fromkeys(vector(p) for p in points))
+    p0 = pts[0]
+    if len(pts) == 1:
+        return SphereFit(vadd(p0, (Q(1),) + (Q(0),) * (len(p0) - 1)), Q(1))
+    diffs = [vsub(p, p0) for p in pts[1:]]
+    rows = [[2 * inner(d, e) for e in diffs] for d in diffs]
+    sol = solve_linear(rows, [norm_sq(d) for d in diffs], ncols=len(diffs))
+    if sol.kind == "inconsistent":
+        return None
+    center = p0
+    for s, d in zip(sol.particular, diffs):
+        center = vadd(center, vscale(s, d))
+    return SphereFit(center, norm_sq(vsub(p0, center)))
+
+
+def _paraboloid_reference(points):
+    # every differenced equation in one Gauss-Jordan solve; returns (fit, pinned)
+    pts = list(dict.fromkeys(points))
+    p0 = pts[0]
+    rows = [[norm_sq(p.part) - norm_sq(p0.part)] + [-2 * x for x in vsub(p.part, p0.part)] for p in pts[1:]]
+    sol = solve_linear(rows, [p.level - p0.level for p in pts[1:]], ncols=1 + p0.dim)
+    if sol.kind == "inconsistent":
+        return None, False
+    x = list(sol.particular)
+    pinned = x[0] <= 0
+    if pinned:
+        k = next((k for k in sol.kernel_basis if k[0] != 0), None)
+        if k is None:
+            return None, False
+        t = (1 - x[0]) / k[0]
+        x = [xi + t * ki for xi, ki in zip(x, k)]
+    r = x[0]
+    part_c = vscale(1 / r, tuple(x[1:]))
+    return ParaboloidFit(affine(p0.level - r * norm_sq(vsub(p0.part, part_c)), part_c), r), pinned
+
+
+def _reflector(rng, n):
+    # v -> v - 2<v,h>/<h,h> h is a rational orthogonal map; the identity half the time
+    h = vector([rng.randint(-2, 2) for _ in range(n)])
+    if rng.random() < 0.5 or norm_sq(h) == 0:
+        return lambda v: v
+    return lambda v: vsub(v, vscale(2 * inner(v, h) / norm_sq(h), h))
+
+
+def _perturbed(rng, pts, move):
+    # duplicates, and one point moved off the quadric by move(point)
+    pts = list(pts)
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        pts.append(rng.choice(pts))
+    if rng.random() < 0.35:
+        i = rng.randrange(len(pts))
+        pts[i] = move(pts[i])
+    rng.shuffle(pts)
+    return pts
+
+
+def test_fit_sphere_matches_all_rows_reference():
+    rng = random.Random(31337)
+    seen = {"fit": 0, "none": 0, "low-hull fit": 0}
+    for _ in range(400):
+        dim = rng.randint(1, 5)
+        den = rng.randint(1, 3)
+        center = vector([Q(rng.randint(-4, 4), den) for _ in range(dim)])
+        if rng.random() < 0.15:
+            pts = [vector([Q(rng.randint(-3, 3), den) for _ in range(dim)]) for _ in range(rng.randint(1, 7))]
+        else:
+            # signed permutations of v in the first k coordinates share one sphere
+            k = rng.randint(1, dim)
+            v = [rng.randint(1, 3) for _ in range(k)]
+            refl = _reflector(rng, dim)
+            pts = []
+            for _ in range(rng.randint(1, 2 * dim + 3)):
+                w = [x * rng.choice([-1, 1]) for x in rng.sample(v, k)] + [0] * (dim - k)
+                pts.append(vadd(center, vscale(Q(1, den), refl(vector(w)))))
+        off = vector([Q(rng.randint(-1, 1), den) for _ in range(dim - 1)] + [Q(1, den)])
+        pts = _perturbed(rng, pts, lambda p: vadd(p, off))
+        expected = _sphere_reference(pts)
+        assert fit_sphere(pts) == expected
+        if expected is None:
+            seen["none"] += 1
+        else:
+            seen["fit"] += 1
+            hull = len(set(pts)) - 1
+            if 0 < hull and solve_linear([vsub(p, pts[0]) for p in pts], [0] * len(pts), ncols=dim).kernel_basis:
+                seen["low-hull fit"] += 1
+    assert min(seen.values()) > 20, seen
+
+
+def test_fit_paraboloid_matches_all_rows_reference():
+    rng = random.Random(271828)
+    seen = {"fit": 0, "none": 0, "pinned": 0}
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        den = rng.randint(1, 3)
+        r = Q(rng.choice([1, 1, 2, 3, -1]), rng.randint(1, 3))
+        c = affine(Q(rng.randint(-3, 3), den), [Q(rng.randint(-3, 3), den) for _ in range(n)])
+        # parts in the span of a few directions, so the hull may be lower-dimensional
+        dirs = [vector([rng.randint(-2, 2) for _ in range(n)]) for _ in range(rng.randint(1, n))]
+        pts = []
+        for _ in range(rng.randint(1, n + 4)):
+            part = c.part
+            for d in dirs:
+                part = vadd(part, vscale(Q(rng.randint(-2, 2), den), d))
+            pts.append(affine(c.level + r * norm_sq(vsub(part, c.part)), part))
+        pts = _perturbed(rng, pts, lambda p: affine(p.level + Q(1, den), p.part))
+        expected, pinned = _paraboloid_reference(pts)
+        assert fit_paraboloid(pts) == expected
+        seen["none" if expected is None else "fit"] += 1
+        seen["pinned"] += pinned
+    assert min(seen.values()) > 20, seen
