@@ -12,7 +12,6 @@ from .exact import (
     Q,
     Vector,
     _common_denominator,
-    _frac_key,
     _int_key,
     affine,
     inner,
@@ -39,7 +38,7 @@ from .finite_root import (
     positive_roots,
 )
 from .group_ring import GroupRingElement, truncated_product
-from .quadric import ParaboloidFit, fit_paraboloid, paraboloid_fit_to_json
+from .quadric import ParaboloidFit, _fit_paraboloid_keys, paraboloid_fit_to_json
 
 DEFAULT_AFFINE_BOUND = 10**6
 
@@ -360,7 +359,7 @@ def affine_weyl_rhs(spec: AffineSupportSpec, bound: int = DEFAULT_AFFINE_BOUND) 
     roots = [a.flatten() for a in simples]
     mirrors = [(Q(0),) + a.part for a in simples]
     nodes, scale = _orbit_walk(mirrors, roots, roots, bound, spec.grading.flatten(), spec.cutoff)
-    return GroupRingElement._unchecked(1 + spec.dim, {_frac_key(key, scale): (-1) ** d for key, d, _ in nodes})
+    return GroupRingElement._from_ints(1 + spec.dim, scale, {key: (-1) ** d for key, d, _ in nodes})
 
 
 # -- characterization ----------------------------------------------------------------
@@ -405,8 +404,8 @@ def characterize_affine(spec: AffineSupportSpec) -> AffineVerdict:
 
     factors = [(av.flatten(), m) for av, m in items]
     expansion = truncated_product(factors, spec.grading.flatten(), spec.cutoff)
-    lam = [unflatten(v) for v in expansion.support()]
-    fit = fit_paraboloid(lam)
+    scale, ints = expansion._int_view()
+    fit = _fit_paraboloid_keys(sorted(ints), scale)
     on_paraboloid = fit is not None
 
     axioms = check_affine_axioms(spec)

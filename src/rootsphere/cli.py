@@ -134,10 +134,10 @@ def _cmd_denominator(args) -> None:
     _emit(
         {
             "name": entry.name,
-            "lhs_terms": len(lhs.terms),
-            "rhs_terms": len(rhs.terms),
+            "lhs_terms": len(lhs),
+            "rhs_terms": len(rhs),
             "equal": lhs == rhs,
-            "weyl_order": len(rhs.terms),
+            "weyl_order": len(rhs),
         },
         args.output,
     )

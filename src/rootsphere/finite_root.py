@@ -26,7 +26,7 @@ from .exact import (
     zero_vector,
 )
 from .group_ring import GroupRingElement, SupportMap, expand_product
-from .quadric import SphereFit, fit_sphere, sphere_fit_to_json
+from .quadric import SphereFit, _fit_sphere_keys, sphere_fit_to_json
 
 
 class GroupTooLargeError(RuntimeError):
@@ -235,17 +235,23 @@ class WeylElement:
     w is the product of the simple reflections of the word, read left to
     right.  orbit is rho - w^-1(rho): the orbit walk steps by left
     multiplication, so the word is the walk's path from the identity to
-    w^-1.  The matrix is built from the word on first access.
+    w^-1.  The walk's integer key of the orbit vector is kept, key/scale;
+    orbit and matrix are built on first access, the matrix from the word.
     """
 
     word: tuple[int, ...]
     det: int
-    orbit: Vector
+    key: tuple[int, ...]
+    scale: int
     simples: tuple[Vector, ...] = field(repr=False, compare=False)
 
     @cached_property
+    def orbit(self) -> Vector:
+        return _frac_key(self.key, self.scale)
+
+    @cached_property
     def matrix(self) -> Matrix:
-        m = identity_matrix(len(self.orbit))
+        m = identity_matrix(len(self.key))
         for i in self.word:
             m = mat_mul(m, reflection_matrix(self.simples[i]))
         if mat_det(m) != self.det:
@@ -307,9 +313,10 @@ def _orbit_walk(mirrors, roots, shifts, bound: int, grading=None, cutoff=None):
     Vectors are keyed by their coordinates times a common denominator, the
     returned scale.  A reflection coefficient that is not an integer (only
     for sets that are not root systems) stays an exact Fraction on the same
-    path.  Returns (nodes, scale); nodes are (key, depth, word) in order of
-    depth then lexicographic word, where word is the lex-least path from
-    the identity.
+    path, and the keys and scale are multiplied out to integers at the end.
+    Returns (nodes, scale); nodes are (key, depth, word) in order of depth
+    then lexicographic word, where word is the lex-least path from the
+    identity.
     """
     vectors = [*mirrors, *roots, *shifts]
     prune = grading is not None
@@ -325,6 +332,7 @@ def _orbit_walk(mirrors, roots, shifts, bound: int, grading=None, cutoff=None):
         g = _int_key(grading, scale)
         threshold = cutoff * scale * scale
 
+    exact = True
     zero = (0,) * len(steps[0][0])
     depth = {zero: 0}
     nodes = [(zero, 0, ())]
@@ -338,7 +346,7 @@ def _orbit_walk(mirrors, roots, shifts, bound: int, grading=None, cutoff=None):
                 num = 2 * sum(map(mul, m, v))
                 c, rem = divmod(num, mm)
                 if rem:
-                    c = Fraction(num, mm)
+                    c, exact = Fraction(num, mm), False
                 u = tuple(x - c * y + z for x, y, z in zip(v, r, h))
                 seen = depth.get(u)
                 if seen is not None:
@@ -353,6 +361,10 @@ def _orbit_walk(mirrors, roots, shifts, bound: int, grading=None, cutoff=None):
                 nxt.append((u, word + (i,)))
         nodes.extend((u, d, word) for u, word in nxt)
         layer = nxt
+    if not exact:
+        den = _common_denominator(k for k, _, _ in nodes)
+        nodes = [(tuple(int(x * den) for x in k), dep, word) for k, dep, word in nodes]
+        scale *= den
     return nodes, scale
 
 
@@ -386,7 +398,7 @@ def enumerate_weyl(rplus, bound: int = DEFAULT_WEYL_BOUND) -> list[WeylElement]:
     if order is not None and len(nodes) != order:
         raise ArithmeticError("orbit collision: w -> rho - w(rho) was not injective")
     gens = tuple(simples)
-    return [WeylElement(word, (-1) ** d, _frac_key(key, scale), gens) for key, d, word in nodes]
+    return [WeylElement(word, (-1) ** d, key, scale, gens) for key, d, word in nodes]
 
 
 def denominator_rhs(rplus, bound: int = DEFAULT_WEYL_BOUND) -> GroupRingElement:
@@ -398,7 +410,8 @@ def denominator_rhs(rplus, bound: int = DEFAULT_WEYL_BOUND) -> GroupRingElement:
     pos = [vector(a) for a in rplus]
     if not pos:
         raise ValueError("empty positive system")
-    return GroupRingElement._unchecked(len(pos[0]), {w.orbit: w.det for w in enumerate_weyl(pos, bound)})
+    els = enumerate_weyl(pos, bound)
+    return GroupRingElement._from_ints(len(pos[0]), els[0].scale, {w.key: w.det for w in els})
 
 
 # -- classification ----------------------------------------------------------------
@@ -573,8 +586,9 @@ def characterize_finite(m: SupportMap) -> FiniteVerdict:
     to its span.  Disagreement raises VerdictMismatchError.
     """
     expansion = expand_product(m)
-    # the terms unsorted: the witness is unique, so the order cannot change it
-    fit = fit_sphere(list(expansion.terms))
+    # the keys unsorted: the witness is unique, so the order cannot change it
+    scale, ints = expansion._int_view()
+    fit = _fit_sphere_keys(list(ints), scale)
     on_sphere = fit is not None
 
     s = set(m.entries)

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from heapq import heappop, heappush
-from math import comb, floor
-from operator import mul as _imul
+from math import comb, floor, gcd, lcm
 from typing import Iterable
 
-from .exact import Vector, _common_denominator, _frac_key, _int_key, rational, vector, vneg, zero_vector
+from .exact import Vector, _common_denominator, _int_key, rational, vector, vneg, zero_vector
 
-# Resource limit of exact division: quotient terms produced before giving up.
+# Resource limits: quotient terms of an exact division, and accumulator terms
+# of a product expansion (E6's peak is ~170 k terms, E7's result 2 903 040).
 MAX_DIVISION_STEPS = 200000
+MAX_EXPANSION_TERMS = 1000000
 
 
 class NotDivisibleError(ArithmeticError):
@@ -22,35 +24,84 @@ class DivisionTooLargeError(ArithmeticError):
     """Exact division reached MAX_DIVISION_STEPS quotient terms without a verdict."""
 
 
-@dataclass(frozen=True)
+class ExpansionTooLargeError(ArithmeticError):
+    """A product expansion passed MAX_EXPANSION_TERMS accumulator terms."""
+
+
 class GroupRingElement:
-    """Finite integer combination of formal exponentials e^v, keyed by lattice vector."""
+    """Finite integer combination of formal exponentials e^v, keyed by lattice vector.
 
-    dim: int
-    terms: dict = field(default_factory=dict)
+    An element has two representations.  The public constructor coerces
+    keys to Fraction tuples, checks their length and drops zero
+    coefficients; .terms is that dict.  A kernel builds the element from
+    integer keys instead: (scale, ints) with key k standing for k/scale,
+    the scale being the lcm of the denominators present.  Either one is
+    derived from the other on first use, so a kernel result builds .terms
+    only when it is read.  Equality compares the integer dicts, which are
+    canonical.  Elements are not to be mutated.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("dim", "_terms", "_scale", "_ints")
+
+    def __init__(self, dim: int, terms: dict | None = None):
         clean = {}
-        for v, c in self.terms.items():
+        for v, c in (terms or {}).items():
             c = int(c)
             if c == 0:
                 continue
             v = vector(v)
-            if len(v) != self.dim:
+            if len(v) != dim:
                 raise ValueError("dimension mismatch")
             clean[v] = c
-        object.__setattr__(self, "terms", clean)
+        self.dim, self._terms, self._scale, self._ints = dim, clean, None, None
 
     @classmethod
-    def _unchecked(cls, dim: int, terms: dict) -> "GroupRingElement":
-        """Element of terms already keyed by Fraction tuples of length dim, with no zero coefficient."""
+    def _from_ints(cls, dim: int, scale: int, ints: dict) -> "GroupRingElement":
+        """Element of integer keys k/scale (tuples of length dim, no zero coefficient)."""
+        g = scale
+        for k in ints:
+            if g == 1:
+                break
+            g = gcd(g, *k)
+        if g > 1:
+            scale //= g
+            ints = {tuple(x // g for x in k): c for k, c in ints.items()}
         x = object.__new__(cls)
-        object.__setattr__(x, "dim", dim)
-        object.__setattr__(x, "terms", terms)
+        x.dim, x._terms, x._scale, x._ints = dim, None, scale, ints
         return x
 
+    def _int_view(self) -> tuple[int, dict]:
+        if self._ints is None:
+            self._scale = _common_denominator(self._terms)
+            self._ints = {_int_key(v, self._scale): c for v, c in self._terms.items()}
+        return self._scale, self._ints
+
+    def _fractions(self) -> dict:
+        """Each integer coordinate present, mapped to its Fraction."""
+        s, ints = self._int_view()
+        return {x: Fraction(x, s) for x in {x for k in ints for x in k}}
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            get = self._fractions().__getitem__
+            self._terms = {tuple(map(get, k)): c for k, c in self._ints.items()}
+        return self._terms
+
+    def __len__(self) -> int:
+        return len(self._ints if self._terms is None else self._terms)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GroupRingElement):
+            return NotImplemented
+        return self.dim == other.dim and self._int_view() == other._int_view()
+
+    def __repr__(self) -> str:
+        return f"GroupRingElement(dim={self.dim}, terms={self.terms!r})"
+
     def support(self) -> list[Vector]:
-        return sorted(self.terms)
+        get = self._fractions().__getitem__
+        return [tuple(map(get, k)) for k in sorted(self._ints)]
 
     def coefficient(self, v) -> int:
         return self.terms.get(vector(v), 0)
@@ -84,9 +135,20 @@ def monomial(dim: int, v, c: int = 1) -> GroupRingElement:
 def mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    scale = _common_denominator([*a.terms, *b.terms])
-    out = _mul_raw(_int_terms(a, scale), _int_terms(b, scale))
-    return GroupRingElement._unchecked(a.dim, {_frac_key(k, scale): c for k, c in out.items()})
+    scale, (ia, ib) = _common_ints(a, b)
+    if not ia or not ib:
+        return GroupRingElement._from_ints(a.dim, 1, {})
+    (alo, ahi), (blo, bhi) = _box(ia), _box(ib)
+    pack, unpack, _ = _packing(map(sum, zip(alo, blo)), map(sum, zip(ahi, bhi)))
+    out: dict = {}
+    get = out.get
+    pb = [(pack(k), c) for k, c in ib.items()]
+    for ka, ca in ia.items():
+        ka = pack(ka)
+        for kb, cb in pb:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return GroupRingElement._from_ints(a.dim, scale, {unpack(k): c for k, c in out.items() if c})
 
 
 def support(x: GroupRingElement) -> list[Vector]:
@@ -109,10 +171,10 @@ class SupportMap:
             if len(v) != self.dim:
                 raise ValueError("dimension mismatch")
             m = int(m)
-            if all(c == 0 for c in v):
-                raise ValueError("m(0) must be 0")
             if m == 0:
                 continue
+            if all(c == 0 for c in v):
+                raise ValueError("m(0) must be 0")
             if m < 0 and not self._signed:
                 raise ValueError("multiplicities must be positive")
             clean[v] = m
@@ -150,54 +212,106 @@ def shift_equivalent(m: SupportMap, b) -> SupportMap:
     return type(m)(m.dim, entries)
 
 
-# -- internal integer-key kernels ------------------------------------------------
+# -- packed integer-key kernels ---------------------------------------------------
 
 
-def _int_terms(x: GroupRingElement, scale: int) -> dict:
-    return {_int_key(v, scale): c for v, c in x.terms.items()}
+def _common_ints(*xs: GroupRingElement) -> tuple[int, list[dict]]:
+    """The integer dicts of the elements, rescaled to one common scale."""
+    views = [x._int_view() for x in xs]
+    scale = lcm(*(s for s, _ in views))
+    return scale, [
+        ints if s == scale else {tuple(x * (scale // s) for x in k): c for k, c in ints.items()}
+        for s, ints in views
+    ]
 
 
-def _mul_raw(a: dict, b: dict) -> dict:
-    if len(a) < len(b):
-        a, b = b, a
-    out: dict = {}
-    get = out.get
-    bi = list(b.items())
-    for ka, ca in a.items():
-        for kb, cb in bi:
-            k = tuple(map(int.__add__, ka, kb))
-            out[k] = get(k, 0) + ca * cb
-    return {k: c for k, c in out.items() if c}
+def _box(keys) -> tuple[list[int], list[int]]:
+    """Per-coordinate minima and maxima of nonempty integer keys."""
+    cols = list(zip(*keys))
+    return [min(c) for c in cols], [max(c) for c in cols]
 
 
-def _binomial_factor(key: tuple[int, ...], mult: int) -> dict:
-    """Expansion of (1 - e^s)^mult over integer keys."""
-    zero = (0,) * len(key)
-    out = {zero: 1}
-    for j in range(1, mult + 1):
-        out[tuple(x * j for x in key)] = (-1) ** j * comb(mult, j)
-    return out
+def _packing(lo, hi):
+    """Kronecker substitution for integer keys k with lo <= k <= hi coordinatewise.
+
+    k becomes the int sum_j k_j * B^(n-1-j), B = 2^s, with balanced digits
+    |k_j| < B/2.  The map is linear, so adding keys adds ints, and on the
+    box it is injective and keeps lexicographic order.  Returns (pack,
+    unpack, w): unpack reads the n digits below bit w = s*n, so a grade
+    added as g * 2^w rides above them as a leading digit.
+    """
+    lo, hi = list(lo), list(hi)
+    n = len(lo)
+    s = max(map(abs, lo + hi), default=0).bit_length() + 1
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    shifts = [s * (n - 1 - j) for j in range(n)]
+    off = sum(half << sh for sh in shifts)
+
+    def pack(k) -> int:
+        return sum(x << sh for x, sh in zip(k, shifts))
+
+    def unpack(x: int) -> tuple[int, ...]:
+        y = x + off
+        return tuple(((y >> sh) & mask) - half for sh in shifts)
+
+    return pack, unpack, s * n
+
+
+def _factor_box(keys, dim: int) -> tuple[list[int], list[int]]:
+    """Per-coordinate range of every partial product of the factors (k, mult)."""
+    lo = [sum(mult * min(0, k[j]) for k, mult in keys) for j in range(dim)]
+    hi = [sum(mult * max(0, k[j]) for k, mult in keys) for j in range(dim)]
+    return lo, hi
+
+
+def _times_binomials(factors, cap: int) -> dict:
+    """Product of (1 - e^p)^mult over packed keys p, factor by factor into one dict.
+
+    For p > 0 a factor's terms e^{jp} rise with j; the inner loop stops at
+    the first key >= cap, so such a term is never built.  A cap above every
+    key of the box keeps all terms.
+    """
+    acc = {0: 1}
+    for p, mult in factors:
+        out = dict(acc)
+        get = out.get
+        fac = [(j * p, (-1) ** j * comb(mult, j)) for j in range(1, mult + 1)]
+        for ka, ca in acc.items():
+            for kb, cb in fac:
+                k = ka + kb
+                if k >= cap:
+                    break
+                c = get(k, 0) + ca * cb
+                if c:
+                    out[k] = c
+                else:
+                    del out[k]
+        if len(out) > MAX_EXPANSION_TERMS:
+            raise ExpansionTooLargeError("expansion too large")
+        acc = out
+    return acc
 
 
 def expand_product(m: SupportMap) -> GroupRingElement:
-    """Exact expansion of prod_s (1 - e^s)^m(s), multiplied as a balanced tree.
+    """Exact expansion of prod_s (1 - e^s)^m(s), factor by factor.
 
-    Factors are sorted lexicographically by support vector first, so the
-    result and all intermediates are deterministic.  A negative multiplicity
-    (only a SignedSupportMap has one) divides its factor out exactly, once
-    per unit, from the product of the positive factors; NotDivisibleError is
-    raised when the quotient is not a Laurent polynomial.
+    The binomial factors of the positive multiplicities, in lexicographic
+    order of their support vectors, are multiplied into one accumulator on
+    packed integer keys.  The packing base covers every coordinate of every
+    partial product: coordinate j lies between sum m*min(0, s_j) and
+    sum m*max(0, s_j).  ExpansionTooLargeError is raised once the
+    accumulator passes MAX_EXPANSION_TERMS.  A negative multiplicity (only a
+    SignedSupportMap has one) divides its factor out exactly, once per unit,
+    from the product of the positive factors; NotDivisibleError is raised
+    when the quotient is not a Laurent polynomial.
     """
     entries = [(v, mult) for v, mult in m.items() if mult > 0]
     if entries:
         scale = _common_denominator(v for v, _ in entries)
-        layer = [_binomial_factor(_int_key(v, scale), mult) for v, mult in entries]
-        while len(layer) > 1:
-            nxt = [_mul_raw(layer[i], layer[i + 1]) for i in range(0, len(layer) - 1, 2)]
-            if len(layer) % 2:
-                nxt.append(layer[-1])
-            layer = nxt
-        out = GroupRingElement._unchecked(m.dim, {_frac_key(k, scale): c for k, c in layer[0].items()})
+        keys = [(_int_key(v, scale), mult) for v, mult in entries]
+        pack, unpack, w = _packing(*_factor_box(keys, m.dim))
+        acc = _times_binomials([(pack(k), mult) for k, mult in keys], 1 << w)
+        out = GroupRingElement._from_ints(m.dim, scale, {unpack(k): c for k, c in acc.items()})
     else:
         out = one(m.dim)
     for v, mult in m.items():
@@ -209,8 +323,10 @@ def expand_product(m: SupportMap) -> GroupRingElement:
 def truncated_product(factors: Iterable[tuple], grading, cutoff) -> GroupRingElement:
     """Product of (1 - e^s)^mult keeping only terms of grade <= cutoff.
 
-    Every factor must have strictly positive grade, so discarding a term of
-    grade above the cutoff after each multiplication loses nothing below it.
+    Every factor must have strictly positive grade, so a term of grade
+    above the cutoff has no descendant below it.  The integer grade rides
+    on each packed key as a leading digit; a factor's terms come in order
+    of rising grade, and a term above the cutoff is never built.
     """
     nhat = vector(grading)
     cutoff = rational(cutoff)
@@ -224,17 +340,18 @@ def truncated_product(factors: Iterable[tuple], grading, cutoff) -> GroupRingEle
 
     scale = _common_denominator([v for v, _ in fac] + [nhat])
     gint = _int_key(nhat, scale)
+    keys = [(_int_key(v, scale), mult) for v, mult in fac]
+    grades = [sum(map(int.__mul__, k, gint)) for k, _ in keys]
+    if any(g <= 0 for g in grades):
+        raise ValueError("a factor with nonpositive grade")
+    pack, unpack, w = _packing(*_factor_box(keys, dim))
     # grade(v) <= cutoff  <=>  <v_int, g_int> <= cutoff * scale^2
     threshold = floor(cutoff * scale * scale)
-
-    acc = {(0,) * dim: 1}
-    for v, mult in fac:
-        kv = _int_key(v, scale)
-        if sum(map(_imul, kv, gint)) <= 0:
-            raise ValueError("a factor with nonpositive grade")
-        acc = _mul_raw(acc, _binomial_factor(kv, mult))
-        acc = {k: c for k, c in acc.items() if sum(map(_imul, k, gint)) <= threshold}
-    return GroupRingElement._unchecked(dim, {_frac_key(k, scale): c for k, c in acc.items()})
+    # a key carries grade g exactly when g * 2^w - 2^w/2 < key < g * 2^w + 2^w/2
+    cap = ((threshold + 1) << w) - (1 << (w - 1))
+    acc = _times_binomials([((g << w) + pack(k), mult) for (k, mult), g in zip(keys, grades)], cap)
+    # only the constant term can be at or above cap: below a negative cutoff, once a factor is taken
+    return GroupRingElement._from_ints(dim, scale, {unpack(k): c for k, c in acc.items() if k < cap or not keys})
 
 
 def exact_divide(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
@@ -248,21 +365,27 @@ def exact_divide(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     A quotient term outside that window proves non-divisibility; the terms
     strictly increase inside its finite box, so the loop ends by itself.
     DivisionTooLargeError is a resource limit: MAX_DIVISION_STEPS terms.
+
+    Keys are packed: the base covers a's box, which holds every remainder
+    term, and every candidate t = lt(r) - lt(b) before the window test.
+    Packed order is lexicographic order, so the heap pops the same terms.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    if not b.terms:
+    if not len(b):
         raise ZeroDivisionError("division by the zero element")
-    if not a.terms:
+    if not len(a):
         return GroupRingElement(a.dim, {})
 
-    scale = _common_denominator([*a.terms, *b.terms])
-    rem = _int_terms(a, scale)
-    den = _int_terms(b, scale)
-    lo = [min(xs) - min(ys) for xs, ys in zip(zip(*rem), zip(*den))]
-    hi = [max(xs) - max(ys) for xs, ys in zip(zip(*rem), zip(*den))]
-    lt_b = min(den)
-    lc_b = den[lt_b]
+    scale, (ia, ib) = _common_ints(a, b)
+    (alo, ahi), (blo, bhi) = _box(ia), _box(ib)
+    lo = [x - y for x, y in zip(alo, blo)]
+    hi = [x - y for x, y in zip(ahi, bhi)]
+    pack, unpack, _ = _packing([min(x, x - y) for x, y in zip(alo, bhi)], [max(x, x - y) for x, y in zip(ahi, blo)])
+    rem = {pack(k): c for k, c in ia.items()}
+    den = [(pack(k), c) for k, c in ib.items()]
+    k_b = min(ib)
+    lt_b, lc_b = pack(k_b), ib[k_b]
 
     # a min-heap (a sorted list is one) of the remainder's keys; a key whose
     # term cancelled is skipped when it comes up
@@ -275,12 +398,12 @@ def exact_divide(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
         if len(quot) == MAX_DIVISION_STEPS:
             raise DivisionTooLargeError("division step limit reached")
         c, r = divmod(rem[lt_r], lc_b)
-        t = tuple(map(int.__sub__, lt_r, lt_b))
-        if r or not all(l <= x <= h for l, x, h in zip(lo, t, hi)):
+        t = lt_r - lt_b
+        if r or not all(l <= x <= h for l, x, h in zip(lo, unpack(t), hi)):
             raise NotDivisibleError("not divisible")
         quot[t] = c
-        for kb, cb in den.items():
-            k = tuple(map(int.__add__, t, kb))
+        for kb, cb in den:
+            k = t + kb
             nc = rem.get(k, 0) - c * cb
             if nc:
                 if k not in rem:
@@ -288,16 +411,18 @@ def exact_divide(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
                 rem[k] = nc
             else:
                 del rem[k]
-    return GroupRingElement._unchecked(a.dim, {_frac_key(k, scale): c for k, c in quot.items()})
+    return GroupRingElement._from_ints(a.dim, scale, {unpack(t): c for t, c in quot.items()})
 
 
 # -- serialization ----------------------------------------------------------------
 
 
 def element_to_json(x: GroupRingElement) -> dict:
+    _, ints = x._int_view()
+    text = {k: str(q) for k, q in x._fractions().items()}
     return {
         "dim": x.dim,
-        "terms": [{"v": [str(c) for c in v], "c": str(x.terms[v])} for v in x.support()],
+        "terms": [{"v": [text[c] for c in k], "c": str(ints[k])} for k in sorted(ints)],
     }
 
 

@@ -14,7 +14,6 @@ from .exact import (
     norm_sq,
     solve_linear,
     span_rank,
-    vadd,
     vector,
     vscale,
     vsub,
@@ -33,16 +32,6 @@ class ParaboloidFit:
     r: Fraction
 
 
-def _dedupe(points):
-    seen = set()
-    out = []
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
-
-
 def _dot(u, v) -> int:
     return sum(x * y for x, y in zip(u, v))
 
@@ -55,22 +44,28 @@ def fit_sphere(points) -> SphereFit | None:
     unique, so the witness does not depend on which points span the hull.
     The equations only see the hull component of a center, so a sphere
     exists in the ambient space exactly when this one does.
+    """
+    pts = list(dict.fromkeys(vector(p) for p in points))
+    if len({len(p) for p in pts}) > 1:
+        raise ValueError("dimension mismatch")
+    den = _common_denominator(pts)
+    return _fit_sphere_keys([_int_key(p, den) for p in pts], den)
 
-    On integer keys D_i = den*(p_i - p_0), a greedy basis B of the D_i gives
-    the k x k Gram system 2<B_i, B_j> t_j = |B_i|^2, and the center offset
-    is c - p_0 = N/(den*m) with m the common denominator of t and
+
+def _fit_sphere_keys(keys: list, den: int) -> SphereFit | None:
+    """fit_sphere of the points k/den, for distinct integer keys k of one length.
+
+    On D_i = k_i - k_0, a greedy basis B of the D_i gives the k x k Gram
+    system 2<B_i, B_j> t_j = |B_i|^2, and the center offset is
+    c - p_0 = N/(den*m) with m the common denominator of t and
     N = sum_j m*t_j*B_j an integer vector.  Point i lies on the sphere
     exactly when m*|D_i|^2 = 2<D_i, N>; the first one off it gives None.
+    The witness, center c/scale and radius_sq r/scale^2 with scale = den*m,
+    is then verified exactly on every point: |m*k_i - c|^2 = r.
     """
-    pts = _dedupe(vector(p) for p in points)
-    if not pts:
+    if not keys:
         raise ValueError("no points")
-    dim = len(pts[0])
-    if any(len(p) != dim for p in pts):
-        raise ValueError("dimension mismatch")
-
-    den = _common_denominator(pts)
-    keys = [_int_key(p, den) for p in pts]
+    dim = len(keys[0])
     k0 = keys[0]
     diffs = [tuple(x - y for x, y in zip(k, k0)) for k in keys[1:]]
     _, idx = span_rank(diffs)
@@ -87,21 +82,19 @@ def fit_sphere(points) -> SphereFit | None:
         if m * _dot(d, d) != 2 * _dot(d, offset):
             return None
 
-    p0 = pts[0]
     scale = den * m
-    center = tuple(c + Q(x, scale) for c, x in zip(p0, offset))
-    radius_sq = Q(_dot(offset, offset), scale * scale)
-    if radius_sq == 0:
-        if len(pts) > 1:
+    c = [x * m + y for x, y in zip(k0, offset)]
+    r = _dot(offset, offset)
+    if r == 0:
+        if len(keys) > 1:
             raise ArithmeticError("zero radius with distinct points")
         # single point: any center off the point works; perturb along e_1
-        center = vadd(p0, tuple(Q(1) if i == 0 else Q(0) for i in range(dim)))
-        radius_sq = Q(1)
-
-    for p in pts:
-        if norm_sq(vsub(p, center)) != radius_sq:
+        c[0] += scale
+        r = scale * scale
+    for k in keys:
+        if sum((m * x - y) ** 2 for x, y in zip(k, c)) != r:
             raise ArithmeticError("sphere fit failed exact verification")
-    return SphereFit(center, radius_sq)
+    return SphereFit(tuple(Q(x, scale) for x in c), Q(r, scale * scale))
 
 
 def fit_paraboloid(points) -> ParaboloidFit | None:
@@ -110,24 +103,27 @@ def fit_paraboloid(points) -> ParaboloidFit | None:
     Substituting d = r * part(c) makes the differenced equations linear in
     (r, d).  A free r is pinned to 1; if r is forced nonpositive and no
     kernel direction moves it, there is no fit.
+    """
+    pts = list(dict.fromkeys(points))
+    if len({p.dim for p in pts}) > 1:
+        raise ValueError("dimension mismatch")
+    den = _common_denominator(p.flatten() for p in pts)
+    return _fit_paraboloid_keys([_int_key(p.flatten(), den) for p in pts], den)
+
+
+def _fit_paraboloid_keys(keys: list, den: int) -> ParaboloidFit | None:
+    """fit_paraboloid of the points k/den, for distinct flattened integer keys k.
 
     Only a greedy basis of the augmented rows [row | rhs] is solved.  Those
     rows span the same row space as all rows, so they are inconsistent
     exactly when the full system is, and otherwise have the same reduced row
     echelon form, hence the same particular solution, kernel basis and
     pinned witness.  Rows are scaled to integers by den^2 first, which
-    changes neither.
+    changes neither.  The witness is then verified exactly on every point.
     """
-    pts = _dedupe(points)
-    if not pts:
+    if not keys:
         raise ValueError("no points")
-    n = pts[0].dim
-    if any(p.dim != n for p in pts):
-        raise ValueError("dimension mismatch")
-
-    p0 = pts[0]
-    den = _common_denominator(p.flatten() for p in pts)
-    keys = [_int_key(p.flatten(), den) for p in pts]
+    n = len(keys[0]) - 1
     l0, q0 = keys[0][0], keys[0][1:]
     n0 = _dot(q0, q0)
     aug = []
@@ -151,13 +147,14 @@ def fit_paraboloid(points) -> ParaboloidFit | None:
         x = [xi + t * ki for xi, ki in zip(x, k)]
     r = x[0]
     part_c = vscale(1 / r, tuple(x[1:]))
-    level_c = p0.level - r * norm_sq(vsub(p0.part, part_c))
-    fit = ParaboloidFit(AffineVector(level_c, part_c), r)
+    level_c = Q(l0, den) - r * norm_sq(vsub(tuple(Q(y, den) for y in q0), part_c))
 
-    for p in pts:
-        if p.level - level_c != r * norm_sq(vsub(p.part, part_c)):
+    # point k/den, times den^2: den*level(k) - den^2*level_c = r*|part(k) - den*part_c|^2
+    lc, pc = level_c * den * den, [y * den for y in part_c]
+    for k in keys:
+        if k[0] * den - lc != r * sum((x - y) ** 2 for x, y in zip(k[1:], pc)):
             raise ArithmeticError("paraboloid fit failed exact verification")
-    return fit
+    return ParaboloidFit(AffineVector(level_c, part_c), r)
 
 
 def sphere_fit_to_json(fit: SphereFit | None) -> dict | None:

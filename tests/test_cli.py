@@ -205,6 +205,16 @@ def test_macdonald_weyl_bound(capsys):
     assert "group too large" in err
 
 
+def test_check_e8_fails_fast_on_expansion_size(capsys):
+    # the E8 expansion has |W(E8)| = 696729600 terms; the accumulator guard
+    # must stop it after about a million, in seconds
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "catalog:E8")
+    assert code == 2 and out == ""
+    assert "expansion too large" in err
+    assert time.perf_counter() - start < 60
+
+
 def test_macdonald_rejects_nonpositive_cutoff(capsys):
     code, _, err = run(capsys, "macdonald", "A1", "--cutoff", "0")
     assert code == 2

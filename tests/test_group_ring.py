@@ -1,13 +1,17 @@
 """Group-ring elements, product expansion, truncation, exact division."""
 
 import random
+from fractions import Fraction
+from math import comb
 
 import pytest
 
+import rootsphere.group_ring as group_ring
 from rootsphere.exact import Q, vector, zero_vector
 from rootsphere.group_ring import (
     MAX_DIVISION_STEPS,
     DivisionTooLargeError,
+    ExpansionTooLargeError,
     GroupRingElement,
     NotDivisibleError,
     SignedSupportMap,
@@ -99,6 +103,17 @@ def test_support_map_validation():
         SupportMap(1, {(Q(1),): -1})
     sm = SignedSupportMap(1, {(Q(1),): -1, (Q(2),): 0})
     assert sm.items() == [((Q(1),), -1)]
+
+
+def test_support_map_drops_an_explicit_zero_at_the_origin():
+    # m(0) = 0 is what the map requires, so saying it explicitly is allowed
+    m = SupportMap(2, {(Q(0), Q(0)): 0, (Q(1), Q(0)): 1})
+    assert m.items() == [((Q(1), Q(0)), 1)]
+    d = {"dim": 2, "support": [{"v": ["0", "0"], "mult": 0}, {"v": ["1", "0"], "mult": 1}]}
+    assert support_map_from_json(d).entries == m.entries
+    for mult in (1, -1):
+        with pytest.raises(ValueError, match="m\\(0\\) must be 0"):
+            SignedSupportMap(2, {(Q(0), Q(0)): mult})
 
 
 def test_expand_single_and_double():
@@ -346,3 +361,144 @@ def test_support_map_json_round_trip():
     assert back.entries == sm.entries and type(back) is SignedSupportMap
     with pytest.raises(ValueError):
         support_map_from_json(d2)
+
+
+def test_expansion_size_limit_is_typed(monkeypatch):
+    # (1 - e^a)(1 - e^b)(1 - e^(a+b)) has accumulators of 2, 4 and 6 terms
+    monkeypatch.setattr(group_ring, "MAX_EXPANSION_TERMS", 5)
+    ab = tuple(x + y for x, y in zip(A, B))
+    with pytest.raises(ExpansionTooLargeError, match="expansion too large"):
+        expand_product(SupportMap(3, {A: 1, B: 1, ab: 1}))
+    assert len(expand_product(SupportMap(3, {A: 1, B: 1}))) == 4
+    factors = [((Q(1), Q(0)), 1), ((Q(0), Q(1)), 1), ((Q(1), Q(1)), 1)]
+    with pytest.raises(ExpansionTooLargeError, match="expansion too large"):
+        truncated_product(factors, (Q(1), Q(1)), Q(4))
+    # below cutoff 1 the accumulator stays at 3 terms
+    assert len(truncated_product(factors, (Q(1), Q(1)), Q(1))) == 3
+
+
+# -- tuple-key reference of the packed kernels ------------------------------------
+
+
+def _ref_add(u, v):
+    return tuple(x + y for x, y in zip(u, v))
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = _ref_add(ka, kb)
+            out[k] = out.get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_binomial(v, mult) -> dict:
+    return {tuple(j * x for x in v): (-1) ** j * comb(mult, j) for j in range(mult + 1)}
+
+
+def _ref_expand(entries) -> dict:
+    out = {tuple(Fraction(0) for _ in next(iter(entries))): 1}
+    for v, mult in entries.items():
+        out = _ref_mul(out, _ref_binomial(v, mult))
+    return out
+
+
+def _ref_truncated(factors, g, cutoff) -> dict:
+    out = {tuple(Fraction(0) for _ in g): 1}
+    for v, mult in factors:
+        out = _ref_mul(out, _ref_binomial(v, mult))
+        out = {k: c for k, c in out.items() if sum(x * y for x, y in zip(k, g)) <= cutoff}
+    return out
+
+
+def _ref_divide(a: dict, b: dict) -> dict:
+    """Long division from the lexicographically least term, with the Newton-polytope window."""
+    n = len(next(iter(b)))
+    lo = [min(k[j] for k in a) - min(k[j] for k in b) for j in range(n)]
+    hi = [max(k[j] for k in a) - max(k[j] for k in b) for j in range(n)]
+    lt_b = min(b)
+    rem, quot = dict(a), {}
+    while rem:
+        lt = min(rem)
+        c, r = divmod(rem[lt], b[lt_b])
+        t = tuple(x - y for x, y in zip(lt, lt_b))
+        if r or not all(l <= x <= h for l, x, h in zip(lo, t, hi)):
+            raise NotDivisibleError("not divisible")
+        quot[t] = c
+        for kb, cb in b.items():
+            k = _ref_add(t, kb)
+            rem[k] = rem.get(k, 0) - c * cb
+            if not rem[k]:
+                del rem[k]
+    return quot
+
+
+def _rand_terms(rng, dim, den, nterms, coord) -> dict:
+    out = {}
+    for _ in range(nterms):
+        v = tuple(Fraction(rng.randint(-coord, coord), den) for _ in range(dim))
+        out[v] = out.get(v, 0) + rng.choice([-3, -2, -1, 1, 1, 2, 3])
+    return {k: c for k, c in out.items() if c}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotDivisibleError:
+        return "not divisible"
+
+
+def test_packed_kernels_match_tuple_reference():
+    rng = random.Random(20260618)
+    for case in range(160):
+        dim = 1 + case % 8
+        den = 1 + (case // 8) % 3
+        # coordinates up to 2^b - 1 and 2^b fill or just pass a packing digit
+        coord = rng.choice([1, 2, 3, 4, 7, 8, 15, 16])
+
+        # products, both through expand_product and through mul
+        entries = {}
+        for _ in range(rng.randint(1, 4)):
+            v = tuple(Fraction(rng.randint(-coord, coord), den) for _ in range(dim))
+            if any(v):
+                entries[v] = rng.randint(1, 3)
+        if entries:
+            ref = _ref_expand(entries)
+            x = expand_product(SupportMap(dim, entries))
+            assert x.terms == ref
+            assert x == GroupRingElement(dim, ref) and GroupRingElement(dim, ref) == x
+            assert x.support() == sorted(ref)
+            assert element_to_json(x) == element_to_json(GroupRingElement(dim, ref))
+
+        # a truncated product whose cutoff is the grade of a term of the full product
+        g = tuple(Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(dim))
+        factors = [(v, rng.randint(1, 3)) for v in entries if sum(x * y for x, y in zip(v, g)) > 0]
+        full = _ref_truncated(factors, g, Fraction(10**9))
+        cutoff = rng.choice(sorted({sum(x * y for x, y in zip(k, g)) for k in full}))
+        ref = _ref_truncated(factors, g, cutoff)
+        assert any(sum(x * y for x, y in zip(k, g)) == cutoff for k in ref)
+        x = truncated_product(factors, g, cutoff)
+        assert x.terms == ref
+        assert x == GroupRingElement(dim, ref)
+
+        # divisions: a divisible product with the divisor shifted far off a's box
+        # (a signed quotient absorbs the shift), then the same product plus one term
+        b = _rand_terms(rng, dim, den, rng.randint(1, 3), coord)
+        q = _rand_terms(rng, dim, den, rng.randint(1, 4), coord)
+        if not b or not q:
+            continue
+        s = tuple(Fraction(rng.choice([-1, 1]) * rng.randint(0, 6 * coord), den) for _ in range(dim))
+        b = {_ref_add(k, s): c for k, c in b.items()}
+        q = {tuple(x - y for x, y in zip(k, s)): c for k, c in q.items()}
+        a = _ref_mul(q, b)
+        bx, ax = GroupRingElement(dim, b), GroupRingElement(dim, a)
+        assert mul(GroupRingElement(dim, q), bx).terms == a
+        assert exact_divide(ax, bx).terms == _ref_divide(a, b) == q
+        extra = dict(a)
+        v = tuple(Fraction(rng.randint(-2 * coord, 2 * coord), den) for _ in range(dim))
+        extra[v] = extra.get(v, 0) + rng.choice([-1, 1])
+        extra = {k: c for k, c in extra.items() if c}
+        if extra:
+            got = _outcome(lambda: exact_divide(GroupRingElement(dim, extra), bx).terms)
+            assert got == _outcome(_ref_divide, extra, b)
