@@ -218,7 +218,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("denominator", help="compare both sides of the product identity")
     sp.add_argument("name", help="catalog name, e.g. A2")
-    sp.add_argument("--weyl-bound", type=int, default=DEFAULT_WEYL_BOUND)
+    sp.add_argument(
+        "--weyl-bound",
+        type=int,
+        default=DEFAULT_WEYL_BOUND,
+        help="fail with 'group too large' when the classified group order (checked before the walk) "
+        "or the number of group elements walked passes this",
+    )
     sp.add_argument("--output")
     sp.set_defaults(fn=_cmd_denominator)
 

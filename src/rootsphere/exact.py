@@ -80,10 +80,6 @@ def _int_key(v: Vector, scale: int) -> tuple[int, ...]:
     return tuple(int(c * scale) for c in v)
 
 
-def _frac_key(k: tuple[int, ...], scale: int) -> Vector:
-    return tuple(Fraction(x, scale) for x in k)
-
-
 @dataclass(frozen=True)
 class AffineVector:
     """A vector of the extended space: a level (first coordinate) plus a spatial part."""

@@ -13,7 +13,6 @@ from .exact import (
     Q,
     Vector,
     _common_denominator,
-    _frac_key,
     _int_key,
     inner,
     norm_sq,
@@ -233,10 +232,10 @@ class WeylElement:
     """A group element w: its lex-least reduced word, det(w) and an orbit vector.
 
     w is the product of the simple reflections of the word, read left to
-    right.  orbit is rho - w^-1(rho): the orbit walk steps by left
+    right.  The orbit vector rho - w^-1(rho) is held only as the walk's
+    integer key: it is key/scale.  The orbit walk steps by left
     multiplication, so the word is the walk's path from the identity to
-    w^-1.  The walk's integer key of the orbit vector is kept, key/scale;
-    orbit and matrix are built on first access, the matrix from the word.
+    w^-1.  matrix is built from the word on first access.
     """
 
     word: tuple[int, ...]
@@ -244,10 +243,6 @@ class WeylElement:
     key: tuple[int, ...]
     scale: int
     simples: tuple[Vector, ...] = field(repr=False, compare=False)
-
-    @cached_property
-    def orbit(self) -> Vector:
-        return _frac_key(self.key, self.scale)
 
     @cached_property
     def matrix(self) -> Matrix:
@@ -587,7 +582,7 @@ def characterize_finite(m: SupportMap) -> FiniteVerdict:
     """
     expansion = expand_product(m)
     # the keys unsorted: the witness is unique, so the order cannot change it
-    scale, ints = expansion._int_view()
+    scale, ints = expansion._scale, expansion._ints
     fit = _fit_sphere_keys(list(ints), scale)
     on_sphere = fit is not None
 

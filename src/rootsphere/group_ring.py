@@ -31,29 +31,22 @@ class ExpansionTooLargeError(ArithmeticError):
 class GroupRingElement:
     """Finite integer combination of formal exponentials e^v, keyed by lattice vector.
 
-    An element has two representations.  The public constructor coerces
-    keys to Fraction tuples, checks their length and drops zero
-    coefficients; .terms is that dict.  A kernel builds the element from
-    integer keys instead: (scale, ints) with key k standing for k/scale,
-    the scale being the lcm of the denominators present.  Either one is
-    derived from the other on first use, so a kernel result builds .terms
-    only when it is read.  Equality compares the integer dicts, which are
-    canonical.  Elements are not to be mutated.
+    The one state is (scale, ints): integer key k stands for the vector
+    k/scale, scale being the lcm of the denominators of the coordinates
+    present (1 for the zero element), so the pair is canonical and equality
+    compares it.  The public constructor coerces the keys, checks their
+    length, sums the coefficients of keys that coerce to one vector and
+    drops zeros; a kernel builds the pair directly.  .terms, the dict keyed
+    by Fraction tuples, is a view built on each read.  Elements are not to
+    be mutated.
     """
 
-    __slots__ = ("dim", "_terms", "_scale", "_ints")
+    __slots__ = ("dim", "_scale", "_ints")
 
     def __init__(self, dim: int, terms: dict | None = None):
-        clean = {}
-        for v, c in (terms or {}).items():
-            c = int(c)
-            if c == 0:
-                continue
-            v = vector(v)
-            if len(v) != dim:
-                raise ValueError("dimension mismatch")
-            clean[v] = c
-        self.dim, self._terms, self._scale, self._ints = dim, clean, None, None
+        clean = _summed(dim, (terms or {}).items())
+        self.dim, self._scale = dim, _common_denominator(clean)
+        self._ints = {_int_key(v, self._scale): c for v, c in clean.items()}
 
     @classmethod
     def _from_ints(cls, dim: int, scale: int, ints: dict) -> "GroupRingElement":
@@ -67,34 +60,26 @@ class GroupRingElement:
             scale //= g
             ints = {tuple(x // g for x in k): c for k, c in ints.items()}
         x = object.__new__(cls)
-        x.dim, x._terms, x._scale, x._ints = dim, None, scale, ints
+        x.dim, x._scale, x._ints = dim, scale, ints
         return x
-
-    def _int_view(self) -> tuple[int, dict]:
-        if self._ints is None:
-            self._scale = _common_denominator(self._terms)
-            self._ints = {_int_key(v, self._scale): c for v, c in self._terms.items()}
-        return self._scale, self._ints
 
     def _fractions(self) -> dict:
         """Each integer coordinate present, mapped to its Fraction."""
-        s, ints = self._int_view()
-        return {x: Fraction(x, s) for x in {x for k in ints for x in k}}
+        s = self._scale
+        return {x: Fraction(x, s) for x in {x for k in self._ints for x in k}}
 
     @property
     def terms(self) -> dict:
-        if self._terms is None:
-            get = self._fractions().__getitem__
-            self._terms = {tuple(map(get, k)): c for k, c in self._ints.items()}
-        return self._terms
+        get = self._fractions().__getitem__
+        return {tuple(map(get, k)): c for k, c in self._ints.items()}
 
     def __len__(self) -> int:
-        return len(self._ints if self._terms is None else self._terms)
+        return len(self._ints)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupRingElement):
             return NotImplemented
-        return self.dim == other.dim and self._int_view() == other._int_view()
+        return (self.dim, self._scale, self._ints) == (other.dim, other._scale, other._ints)
 
     def __repr__(self) -> str:
         return f"GroupRingElement(dim={self.dim}, terms={self.terms!r})"
@@ -104,24 +89,42 @@ class GroupRingElement:
         return [tuple(map(get, k)) for k in sorted(self._ints)]
 
     def coefficient(self, v) -> int:
-        return self.terms.get(vector(v), 0)
+        k = [c * self._scale for c in vector(v)]
+        if any(c.denominator != 1 for c in k):
+            return 0
+        return self._ints.get(tuple(map(int, k)), 0)
 
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        out = dict(self.terms)
-        for v, c in other.terms.items():
-            out[v] = out.get(v, 0) + c
-        return GroupRingElement(self.dim, out)
+        scale, (ia, ib) = _common_ints(self, other)
+        out = dict(ia)
+        for k, c in ib.items():
+            out[k] = out.get(k, 0) + c
+        return GroupRingElement._from_ints(self.dim, scale, {k: c for k, c in out.items() if c})
 
     def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(self.dim, {v: -c for v, c in self.terms.items()})
+        return GroupRingElement._from_ints(self.dim, self._scale, {k: -c for k, c in self._ints.items()})
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self + (-other)
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         return mul(self, other)
+
+
+def _summed(dim: int, pairs) -> dict:
+    """Coefficients of the (vector, int) pairs keyed by coerced vector of length dim.
+
+    Pairs whose vectors coerce to one key are summed, then zeros dropped.
+    """
+    out: dict = {}
+    for v, c in pairs:
+        v = vector(v)
+        if len(v) != dim:
+            raise ValueError("dimension mismatch")
+        out[v] = out.get(v, 0) + int(c)
+    return {v: c for v, c in out.items() if c}
 
 
 def one(dim: int) -> GroupRingElement:
@@ -165,19 +168,12 @@ class SupportMap:
     _signed = False
 
     def __post_init__(self):
-        clean = {}
-        for v, m in self.entries.items():
-            v = vector(v)
-            if len(v) != self.dim:
-                raise ValueError("dimension mismatch")
-            m = int(m)
-            if m == 0:
-                continue
+        clean = _summed(self.dim, self.entries.items())
+        for v, m in clean.items():
             if all(c == 0 for c in v):
                 raise ValueError("m(0) must be 0")
             if m < 0 and not self._signed:
                 raise ValueError("multiplicities must be positive")
-            clean[v] = m
         object.__setattr__(self, "entries", clean)
 
     def items(self) -> list[tuple[Vector, int]]:
@@ -217,7 +213,7 @@ def shift_equivalent(m: SupportMap, b) -> SupportMap:
 
 def _common_ints(*xs: GroupRingElement) -> tuple[int, list[dict]]:
     """The integer dicts of the elements, rescaled to one common scale."""
-    views = [x._int_view() for x in xs]
+    views = [(x._scale, x._ints) for x in xs]
     scale = lcm(*(s for s, _ in views))
     return scale, [
         ints if s == scale else {tuple(x * (scale // s) for x in k): c for k, c in ints.items()}
@@ -418,7 +414,7 @@ def exact_divide(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
 
 
 def element_to_json(x: GroupRingElement) -> dict:
-    _, ints = x._int_view()
+    ints = x._ints
     text = {k: str(q) for k, q in x._fractions().items()}
     return {
         "dim": x.dim,
@@ -428,8 +424,7 @@ def element_to_json(x: GroupRingElement) -> dict:
 
 def element_from_json(d: dict) -> GroupRingElement:
     dim = int(d["dim"])
-    terms = {vector(t["v"]): int(t["c"]) for t in d["terms"]}
-    return GroupRingElement(dim, terms)
+    return GroupRingElement(dim, _summed(dim, ((t["v"], t["c"]) for t in d["terms"])))
 
 
 def support_map_to_json(m: SupportMap) -> dict:
@@ -441,8 +436,5 @@ def support_map_to_json(m: SupportMap) -> dict:
 
 def support_map_from_json(d: dict, signed: bool = False) -> SupportMap:
     dim = int(d["dim"])
-    entries: dict[Vector, int] = {}
-    for item in d["support"]:
-        v = vector(item["v"])
-        entries[v] = entries.get(v, 0) + int(item["mult"])
+    entries = _summed(dim, ((item["v"], item["mult"]) for item in d["support"]))
     return (SignedSupportMap if signed else SupportMap)(dim, entries)

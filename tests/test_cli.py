@@ -1,15 +1,21 @@
 """Command-line behavior: JSON in, JSON out, deterministic bytes, exit codes."""
 
+import hashlib
 import json
 import time
 
 import pytest
 
 import rootsphere.cli as cli_mod
-from rootsphere.affine_root import ExplicitAffineSupport, enumerate_support, explicit_spec_to_json
+from rootsphere.affine_root import (
+    ExplicitAffineSupport,
+    characterize_affine,
+    enumerate_support,
+    explicit_spec_to_json,
+)
 from rootsphere.catalog import untwisted_affine
 from rootsphere.cli import main
-from rootsphere.exact import Q
+from rootsphere.exact import AffineVector, Q
 from rootsphere.finite_root import RootSystem, VerdictMismatchError, root_system_to_json
 from rootsphere.group_ring import SupportMap, support_map_to_json
 
@@ -284,3 +290,63 @@ def test_verdict_mismatch_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "check", "catalog:A2")
     assert code == 3
     assert "internal verdict disagreement" in err
+
+
+def test_expand_signed_needs_a_positive_multiplicity(tmp_path, capsys):
+    src = write_json(tmp_path, "m.json", {"dim": 1, "support": [{"v": ["1"], "mult": -1}, {"v": ["2"], "mult": -2}]})
+    code, out, err = run(capsys, "expand", src)
+    assert code == 2 and out == ""
+    assert "needs at least one positive multiplicity" in err
+
+
+def test_check_generated_affine_file_needs_cutoff(tmp_path, capsys):
+    src = write_json(tmp_path, "gen.json", {"kind": "generated", "name": "A1"})
+    code, out, err = run(capsys, "check", src, "--mode", "affine")
+    assert code == 2 and out == ""
+    assert "--cutoff is required" in err
+
+
+def test_check_affine_levels_not_arithmetic(tmp_path, capsys):
+    # ladders over +1 at levels 0, 1, 3 and over -1 at levels 1, 2: no
+    # arithmetic progression of levels fits them, so decompose rejects them
+    def av(level, x):
+        return AffineVector(Q(level), (Q(x),))
+
+    items = [(av(lv, 1), 1) for lv in (0, 1, 3)]
+    items += [(av(lv, -1), 1) for lv in (1, 2)]
+    items += [(av(lv, 0), 1) for lv in (1, 2, 3)]
+    ex = ExplicitAffineSupport(dim=1, items=tuple(items), grading=av(1, Q(1, 4)), cutoff=Q(13, 4))
+    v = characterize_affine(ex)
+    assert not v.levels_arithmetic and not v.axiomatic_verdict() and not v.on_paraboloid
+    src = write_json(tmp_path, "spec.json", explicit_spec_to_json(ex))
+    code, out, err = run(capsys, "check", src, "--mode", "affine")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["levels_arithmetic"] is False
+    assert data["on_paraboloid"] is False
+    assert data["fit"] is None
+
+
+# sha256 of the default stdout of one command per subcommand: a change of
+# internal representation must leave the default JSON bytes as they are
+GOLDEN_STDOUT_SHA256 = {
+    ("expand", "catalog:B3"): "1291ad889a18166afe122720a7c5d6cb08e39050c5967bdd186dbb4062438e9a",
+    ("check", "catalog:B3"): "7304539b8303e67c1866640341b3a95d5c4cd529fe117565cfd5b7ea33e5a1be",
+    ("check", "catalog-affine:G2", "--mode", "affine", "--cutoff", "6"): (
+        "9158f7d155814bfbd5ffbdf0d77226fadc15f14b8e9775d67d86160c1b2fc301"
+    ),
+    ("classify", "catalog:F4"): "8b872f38351ab6aeae63f5f22236a386875ab85e2373dbf462bd65599f59dfcc",
+    ("denominator", "A3"): "7bc1686d3ea4773f8a9a2876e617f47b10808d60e49177f308ccdd261c258d1d",
+    ("macdonald", "A2", "--cutoff", "4"): "0dd3b1e2512d9dd3b67cf65e0b0f69f39076041285fdd8a85e4cb404362dd186",
+    ("counterexample", "remark210"): "53d55a1cf070eb2f118e892beeb7d2b81df1ec40eb76b4f5e265d5ab03e2b61f",
+}
+
+
+def test_default_stdout_bytes_are_pinned(capsys):
+    changed = {}
+    for argv, digest in GOLDEN_STDOUT_SHA256.items():
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "", argv
+        if hashlib.sha256(out.encode("utf-8")).hexdigest() != digest:
+            changed[" ".join(argv)] = out[:200]
+    assert changed == {}

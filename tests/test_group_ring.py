@@ -116,6 +116,24 @@ def test_support_map_drops_an_explicit_zero_at_the_origin():
             SignedSupportMap(2, {(Q(0), Q(0)): mult})
 
 
+def test_keys_that_coerce_to_one_vector_are_summed():
+    half = {"dim": 1, "terms": [{"v": ["1/2"], "c": "1"}, {"v": ["2/4"], "c": "1"}]}
+    assert element_from_json(half) == monomial(1, (Q(1, 2),), 2)
+    x = GroupRingElement(1, {(0,): 1, ("1/2",): 1, ("2/4",): 1})
+    assert (x.coefficient(("2/4",)), x.coefficient((0,)), x.coefficient(("1/4",)), x.coefficient((0, 0))) == (2, 1, 0, 0)
+    assert GroupRingElement(1, {("1",): 1, (1,): -1}) == GroupRingElement(1, {})
+    assert len(GroupRingElement(1, {("1",): 1, (1,): -1})) == 0
+    assert GroupRingElement(2, {("1/2", 0): 3, (Q(1, 2), "0"): -1}).terms == {(Q(1, 2), Q(0)): 2}
+    assert SupportMap(1, {("1",): 1, (1,): 1}).entries == {(Q(1),): 2}
+    assert SignedSupportMap(1, {("1",): 1, (Q(1),): -1, (2,): -1}).items() == [((Q(2),), -1)]
+    # the m(0) test sees the summed multiplicity
+    assert SignedSupportMap(1, {("0",): 1, (0,): -1, (1,): 1}).items() == [((Q(1),), 1)]
+    with pytest.raises(ValueError, match="m\\(0\\) must be 0"):
+        SupportMap(1, {("0",): 1, (0,): 1})
+    with pytest.raises(ValueError, match="must be positive"):
+        SupportMap(1, {("1",): 1, (1,): -2})
+
+
 def test_expand_single_and_double():
     m = SupportMap(3, {A: 1})
     assert expand_product(m) == one(3) - monomial(3, A)
