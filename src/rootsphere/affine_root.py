@@ -15,6 +15,7 @@ from .exact import (
     _int_key,
     affine,
     inner,
+    integer,
     is_zero,
     norm_sq,
     rational,
@@ -124,7 +125,7 @@ class ExplicitAffineSupport:
                 raise ValueError("dimension mismatch")
             if av.level == 0 and is_zero(av.part):
                 raise ValueError("m(0) must be 0")
-            mult = int(mult)
+            mult = integer(mult)
             if mult <= 0:
                 raise ValueError("multiplicities must be positive")
             g = grade(av, self.grading)
@@ -469,8 +470,8 @@ def explicit_spec_to_json(spec: ExplicitAffineSupport) -> dict:
 
 def explicit_spec_from_json(d: dict) -> ExplicitAffineSupport:
     return ExplicitAffineSupport(
-        dim=int(d["dim"]),
-        items=tuple((affine_vector_from_json(i), int(i["mult"])) for i in d["items"]),
+        dim=integer(d["dim"]),
+        items=tuple((affine_vector_from_json(i), integer(i["mult"])) for i in d["items"]),
         grading=affine_vector_from_json(d["grading"]),
         cutoff=rational(d["cutoff"]),
     )

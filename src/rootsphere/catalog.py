@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb, factorial
+from math import comb
 
 from .affine_root import GeneratedAffineSupport
 from .exact import AffineVector, Q, Vector, inner, rational, vector, vscale
-from .finite_root import RootSystem, weyl_vector
+from .finite_root import RootSystem, _component_order, weyl_vector
 from .group_ring import GroupRingElement, SignedSupportMap, expand_product
 from .quadric import SphereFit, fit_sphere
 
@@ -17,6 +17,12 @@ _LETTERS = ("A", "B", "C", "D", "E", "F", "G")
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A named finite root system in its catalog realization.
+
+    expected_weyl_order is read from the classification's table of Weyl
+    group orders (finite_root._component_order), not computed from roots.
+    """
+
     name: str
     ambient_dim: int
     roots: RootSystem
@@ -99,8 +105,8 @@ def _parse_name(name: str) -> tuple[str, int]:
     return name[0], int(name[1:])
 
 
-def _build_roots(letter: str, n: int) -> tuple[int, list[Vector], int]:
-    """Ambient dimension, root list, and group order for a validated name."""
+def _build_roots(letter: str, n: int) -> tuple[int, list[Vector]]:
+    """Ambient dimension and root list for a validated name."""
     if letter == "A" and n >= 1:
         roots = []
         for i, j in combinations(range(n + 1), 2):
@@ -108,25 +114,23 @@ def _build_roots(letter: str, n: int) -> tuple[int, list[Vector], int]:
             v[i], v[j] = Q(1), Q(-1)
             roots.append(tuple(v))
             roots.append(tuple(-c for c in v))
-        return n + 1, roots, factorial(n + 1)
+        return n + 1, roots
     if letter == "B" and n >= 2:
         roots = _pm_pairs(n, range(n))
         roots += [_axis(n, i, s) for i in range(n) for s in (1, -1)]
-        return n, roots, 2**n * factorial(n)
+        return n, roots
     if letter == "C" and n >= 3:
         roots = _pm_pairs(n, range(n))
         roots += [_axis(n, i, 2 * s) for i in range(n) for s in (1, -1)]
-        return n, roots, 2**n * factorial(n)
+        return n, roots
     if letter == "D" and n >= 4:
-        return n, _pm_pairs(n, range(n)), 2 ** (n - 1) * factorial(n)
+        return n, _pm_pairs(n, range(n))
     if letter == "E" and n in (6, 7, 8):
-        build = {6: _e6_roots, 7: _e7_roots, 8: _e8_roots}[n]
-        order = {6: 51840, 7: 2903040, 8: 696729600}[n]
-        return 8, build(), order
+        return 8, {6: _e6_roots, 7: _e7_roots, 8: _e8_roots}[n]()
     if letter == "F" and n == 4:
-        return 4, _f4_roots(), 1152
+        return 4, _f4_roots()
     if letter == "G" and n == 2:
-        return 3, _g2_roots(), 12
+        return 3, _g2_roots()
     raise ValueError(f"unknown catalog name: {letter}{n}")
 
 
@@ -137,10 +141,11 @@ def standard_finite(name: str) -> CatalogEntry:
     nonvanishing on every root of every catalog realization.  This half
     differs from the lexicographic half of finite_root.positive_roots for
     some types: for A2 the catalog gives rho = (-1, 0, 1), the lexicographic
-    half rho = (1, 0, -1).
+    half rho = (1, 0, -1).  The expected Weyl order comes from the
+    classification's order table.
     """
     letter, n = _parse_name(name)
-    dim, roots, order = _build_roots(letter, n)
+    dim, roots = _build_roots(letter, n)
     sep = tuple(Q(2**i) for i in range(dim))
     positive = tuple(sorted(a for a in roots if inner(sep, a) > 0))
     if 2 * len(positive) != len(roots):
@@ -150,7 +155,7 @@ def standard_finite(name: str) -> CatalogEntry:
         ambient_dim=dim,
         roots=RootSystem(dim, tuple(roots)),
         positive=positive,
-        expected_weyl_order=order,
+        expected_weyl_order=_component_order(letter, n),
         expected_positive_count=len(roots) // 2,
     )
 

@@ -22,7 +22,7 @@ from .catalog import (
     standard_finite,
     untwisted_affine,
 )
-from .exact import rational
+from .exact import integer, rational
 from .finite_root import (
     DEFAULT_WEYL_BOUND,
     GroupTooLargeError,
@@ -54,7 +54,10 @@ class CliError(ValueError):
 
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise CliError("input must be a JSON object")
+    return data
 
 
 def _emit(data: dict, output: str | None) -> None:
@@ -78,7 +81,7 @@ def _finite_map(src: str):
         entry = standard_finite(src[len("catalog:"):])
         return SupportMap(entry.ambient_dim, {a: 1 for a in entry.positive})
     data = _load_json(src)
-    signed = any(int(item["mult"]) < 0 for item in data.get("support", ()))
+    signed = any(integer(item["mult"]) < 0 for item in data.get("support", ()))
     return support_map_from_json(data, signed=signed)
 
 

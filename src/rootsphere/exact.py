@@ -21,6 +21,22 @@ def rational(x) -> Fraction:
     return Fraction(x)
 
 
+def integer(x) -> int:
+    """Coerce ints, integer strings like "-2", and integral Fractions to int.
+
+    bool and float raise TypeError, and any other value that is not an
+    integer raises ValueError: int() would truncate it.
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, bool):
+        raise TypeError("a boolean is not an integer")
+    q = rational(x)
+    if q.denominator != 1:
+        raise ValueError(f"not an integer: {x!r}")
+    return q.numerator
+
+
 def vector(coords: Iterable) -> Vector:
     return tuple(rational(c) for c in coords)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import factorial, gcd, prod
 from operator import add, mul
 from typing import NamedTuple
@@ -15,6 +16,7 @@ from .exact import (
     _common_denominator,
     _int_key,
     inner,
+    integer,
     norm_sq,
     span_rank,
     vadd,
@@ -266,6 +268,7 @@ _SERIES_ORDER = {
 
 
 def _component_order(letter: str, rank: int) -> int:
+    """Order of the Weyl group of the irreducible type letter+rank: the one table of orders."""
     if letter == "A":
         return factorial(rank + 1)
     if letter in ("B", "C"):
@@ -382,7 +385,7 @@ def enumerate_weyl(rplus, bound: int = DEFAULT_WEYL_BOUND) -> list[WeylElement]:
         raise ValueError("empty positive system")
     try:
         order = _order_of_components(_classify_components(simples))
-    except (ValueError, KeyError):
+    except ValueError:
         order = None
     if order is not None and order > bound:
         raise GroupTooLargeError("group too large")
@@ -412,104 +415,64 @@ def denominator_rhs(rplus, bound: int = DEFAULT_WEYL_BOUND) -> GroupRingElement:
 # -- classification ----------------------------------------------------------------
 
 
-def _cartan_matrix(simples: list[Vector]) -> list[list[int]]:
-    c = []
-    for a in simples:
-        row = []
-        for b in simples:
-            x = 2 * inner(a, b) / norm_sq(b)
-            if x.denominator != 1:
+def _dynkin_type(c) -> tuple[str, int]:
+    """(letter, rank) of a connected integer Cartan matrix, read off its Dynkin diagram.
+
+    The diagram must be a tree, and each bond must have one entry -1 and the
+    other -1, -2 or -3 (a single, double or triple bond).  A path of single
+    bonds is A_n; one triple bond is G2; one double bond is B2, F4 in the
+    middle of a path of 4, and otherwise ends a path: B_n when its leaf root
+    is short (c[stem][leaf] == -2), C_n when it is long.  One node with arms
+    of (1, 1, k) nodes is D_n, with arms of (1, 2, 2|3|4) nodes E6, E7 or E8.
+    Anything else raises ValueError("unrecognized").
+    """
+    n = len(c)
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    multiple = []
+    for i, j in combinations(range(n), 2):
+        p, q = c[i][j], c[j][i]
+        if p or q:
+            if max(p, q) != -1 or p * q > 3:
                 raise ValueError("unrecognized")
-            row.append(int(x))
-        c.append(row)
-    return c
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+            if p * q > 1:
+                multiple.append((i, j))
+    if sum(map(len, nbrs)) != 2 * (n - 1) or len(multiple) > 1:
+        raise ValueError("unrecognized")
+    branches = [v for v in range(n) if len(nbrs[v]) > 2]
+    if not branches:
+        if not multiple:
+            return "A", n
+        i, j = multiple[0]
+        if n == 2:
+            return ("G" if c[i][j] * c[j][i] == 3 else "B"), 2
+        if c[i][j] * c[j][i] == 2:
+            sides = _arm_length(nbrs, j, i), _arm_length(nbrs, i, j)
+            if sides == (2, 2):
+                return "F", 4
+            if 1 in sides:
+                leaf, stem = (i, j) if sides[0] == 1 else (j, i)
+                return ("B" if c[stem][leaf] == -2 else "C"), n
+        raise ValueError("unrecognized")
+    if multiple or len(branches) > 1 or len(nbrs[branches[0]]) > 3:
+        raise ValueError("unrecognized")
+    b = branches[0]
+    arms = sorted(_arm_length(nbrs, b, v) for v in nbrs[b])
+    if arms[:2] == [1, 1]:
+        return "D", n
+    if arms[:2] == [1, 2] and arms[2] <= 4:
+        return "E", n
+    raise ValueError("unrecognized")
 
 
-def _candidate_cartan(letter: str, rank: int) -> list[list[int]]:
-    c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-
-    def edge(i, j, cij=-1, cji=-1):
-        c[i][j] = cij
-        c[j][i] = cji
-
-    if letter == "A":
-        for i in range(rank - 1):
-            edge(i, i + 1)
-    elif letter == "B":
-        for i in range(rank - 2):
-            edge(i, i + 1)
-        edge(rank - 2, rank - 1, -2, -1)
-    elif letter == "C":
-        for i in range(rank - 2):
-            edge(i, i + 1)
-        edge(rank - 2, rank - 1, -1, -2)
-    elif letter == "D":
-        for i in range(rank - 3):
-            edge(i, i + 1)
-        edge(rank - 3, rank - 2)
-        edge(rank - 3, rank - 1)
-    elif letter == "E":
-        for i in range(rank - 2):
-            edge(i, i + 1)
-        edge(2, rank - 1)
-    elif letter == "F":
-        edge(0, 1)
-        edge(1, 2, -2, -1)
-        edge(2, 3)
-    elif letter == "G":
-        edge(0, 1, -1, -3)
-    return c
-
-
-def _candidates(rank: int) -> list[tuple[str, int]]:
-    out = [("A", rank)]
-    if rank >= 2:
-        out.append(("B", rank))
-    if rank >= 3:
-        out.append(("C", rank))
-    if rank >= 4:
-        out.append(("D", rank))
-    if rank in (6, 7, 8):
-        out.append(("E", rank))
-    if rank == 4:
-        out.append(("F", rank))
-    if rank == 2:
-        out.append(("G", rank))
-    return out
-
-
-def _iso(c1, c2) -> bool:
-    """Simultaneous-permutation equality of two Cartan matrices."""
-    n = len(c1)
-    if n != len(c2):
-        return False
-    if sorted(sorted(r) for r in c1) != sorted(sorted(r) for r in c2):
-        return False
-    assign = [-1] * n
-    used = [False] * n
-
-    def ok(i, j):
-        # candidate: node i of c2 maps to node j of c1
-        for i2 in range(i):
-            j2 = assign[i2]
-            if c1[j][j2] != c2[i][i2] or c1[j2][j] != c2[i2][i]:
-                return False
-        return True
-
-    def go(i):
-        if i == n:
-            return True
-        for j in range(n):
-            if not used[j] and ok(i, j):
-                assign[i] = j
-                used[j] = True
-                if go(i + 1):
-                    return True
-                used[j] = False
-                assign[i] = -1
-        return False
-
-    return go(0)
+def _arm_length(nbrs, prev: int, v: int) -> int:
+    """Nodes from v, stepping away from its neighbour prev, up to the first not of degree 2."""
+    length = 1
+    while len(nbrs[v]) == 2:
+        prev, v = v, next(u for u in nbrs[v] if u != prev)
+        length += 1
+    return length
 
 
 def _components(vectors) -> list[list[int]]:
@@ -534,26 +497,34 @@ def _components(vectors) -> list[list[int]]:
 
 
 def _classify_components(simples: list[Vector]) -> list[tuple[str, int]]:
-    """Dynkin types of the components of the system with these simple roots."""
+    """Dynkin types of the components of the system with these simple roots.
+
+    Cartan entries 2<k_i, k_j>/<k_j, k_j> are taken on integer keys; one
+    that is not an integer raises ValueError("unrecognized").
+    """
     if not simples:
         raise ValueError("unrecognized")
+    scale = _common_denominator(simples)
+    keys = [_int_key(a, scale) for a in simples]
     names = []
-    for idx in _components(simples):
-        sub = [simples[i] for i in idx]
-        cartan = _cartan_matrix(sub)
-        hit = next(
-            ((letter, rank) for letter, rank in _candidates(len(sub)) if _iso(_candidate_cartan(letter, rank), cartan)),
-            None,
-        )
-        if hit is None:
-            raise ValueError("unrecognized")
-        names.append(hit)
+    for idx in _components(keys):
+        sub = [keys[i] for i in idx]
+        cartan = []
+        for a in sub:
+            row = []
+            for b in sub:
+                x, rem = divmod(2 * sum(map(mul, a, b)), sum(map(mul, b, b)))
+                if rem:
+                    raise ValueError("unrecognized")
+                row.append(x)
+            cartan.append(row)
+        names.append(_dynkin_type(cartan))
     names.sort(key=lambda t: (-t[1], t[0]))
     return names
 
 
 def classify(rs: RootSystem) -> str:
-    """Type name such as "A2" or "B2×A1", via Dynkin-graph isomorphism."""
+    """Type name such as "A2" or "B2×A1", read off the Dynkin diagram of each component."""
     simples = base(positive_roots(rs).rplus)
     return "×".join(f"{letter}{rank}" for letter, rank in _classify_components(simples))
 
@@ -625,7 +596,7 @@ def root_system_to_json(rs: RootSystem) -> dict:
 
 
 def root_system_from_json(d: dict) -> RootSystem:
-    return RootSystem(int(d["dim"]), tuple(vector(r) for r in d["roots"]))
+    return RootSystem(integer(d["dim"]), tuple(vector(r) for r in d["roots"]))
 
 
 def axiom_report_to_json(rep: AxiomReport) -> dict:

@@ -8,7 +8,7 @@ from heapq import heappop, heappush
 from math import comb, floor, gcd, lcm
 from typing import Iterable
 
-from .exact import Vector, _common_denominator, _int_key, rational, vector, vneg, zero_vector
+from .exact import Vector, _common_denominator, _int_key, integer, rational, vector, vneg, zero_vector
 
 # Resource limits: quotient terms of an exact division, and accumulator terms
 # of a product expansion (E6's peak is ~170 k terms, E7's result 2 903 040).
@@ -123,7 +123,7 @@ def _summed(dim: int, pairs) -> dict:
         v = vector(v)
         if len(v) != dim:
             raise ValueError("dimension mismatch")
-        out[v] = out.get(v, 0) + int(c)
+        out[v] = out.get(v, 0) + integer(c)
     return {v: c for v, c in out.items() if c}
 
 
@@ -326,7 +326,7 @@ def truncated_product(factors: Iterable[tuple], grading, cutoff) -> GroupRingEle
     """
     nhat = vector(grading)
     cutoff = rational(cutoff)
-    fac = [(vector(v), int(mult)) for v, mult in factors]
+    fac = [(vector(v), integer(mult)) for v, mult in factors]
     dim = len(nhat)
     for v, mult in fac:
         if len(v) != dim:
@@ -423,7 +423,7 @@ def element_to_json(x: GroupRingElement) -> dict:
 
 
 def element_from_json(d: dict) -> GroupRingElement:
-    dim = int(d["dim"])
+    dim = integer(d["dim"])
     return GroupRingElement(dim, _summed(dim, ((t["v"], t["c"]) for t in d["terms"])))
 
 
@@ -435,6 +435,6 @@ def support_map_to_json(m: SupportMap) -> dict:
 
 
 def support_map_from_json(d: dict, signed: bool = False) -> SupportMap:
-    dim = int(d["dim"])
+    dim = integer(d["dim"])
     entries = _summed(dim, ((item["v"], item["mult"]) for item in d["support"]))
     return (SignedSupportMap if signed else SupportMap)(dim, entries)

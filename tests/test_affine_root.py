@@ -172,6 +172,22 @@ def test_enumerate_validation():
         )
 
 
+def test_explicit_rejects_non_integer_multiplicities():
+    with pytest.raises(ValueError):
+        ExplicitAffineSupport(dim=1, items=((affine(1, [1]), Q(3, 2)),), grading=affine(1, [0]), cutoff=Q(2))
+    with pytest.raises(TypeError):
+        ExplicitAffineSupport(dim=1, items=((affine(1, [1]), 1.5),), grading=affine(1, [0]), cutoff=Q(2))
+    d = {
+        "kind": "explicit",
+        "dim": 1,
+        "items": [{"level": "1", "v": ["1"], "mult": 1.5}],
+        "grading": {"level": "1", "v": ["0"]},
+        "cutoff": "2",
+    }
+    with pytest.raises(TypeError):
+        explicit_spec_from_json(d)
+
+
 def test_explicit_merges_duplicates():
     spec = ExplicitAffineSupport(
         dim=1,

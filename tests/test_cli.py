@@ -282,6 +282,24 @@ def test_missing_file(capsys):
     assert "error:" in err
 
 
+def test_non_integer_multiplicity_is_an_error(tmp_path, capsys):
+    src = write_json(
+        tmp_path, "m.json", {"dim": 2, "support": [{"v": [1, 0], "mult": 1.9}, {"v": [0, 1], "mult": True}]}
+    )
+    for cmd in ("check", "expand"):
+        code, out, err = run(capsys, cmd, src)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+
+def test_input_that_is_not_an_object_is_an_error(tmp_path, capsys):
+    src = write_json(tmp_path, "list.json", [1, 2])
+    for argv in (("check", src), ("expand", src), ("check", src, "--mode", "affine"), ("classify", src)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "input must be a JSON object" in err, argv
+
+
 def test_verdict_mismatch_exit_code(capsys, monkeypatch):
     def boom(_):
         raise VerdictMismatchError("routes disagree")

@@ -39,6 +39,19 @@ def test_rational_rejects_floats():
         vector([1, 0.5])
 
 
+def test_integer_coercions():
+    from rootsphere.exact import integer
+
+    assert [integer(x) for x in (3, -2, "7", " -4 ", Q(6, 3))] == [3, -2, 7, -4, 2]
+    assert all(type(integer(x)) is int for x in (3, "7", Q(6, 3)))
+    for bad in (True, False, 1.0, 1.9):
+        with pytest.raises(TypeError):
+            integer(bad)
+    for bad in (Q(3, 2), "5/2", "2.5", "x"):
+        with pytest.raises(ValueError):
+            integer(bad)
+
+
 def test_rational_string_round_trip():
     for s in ["3/5", "-7/11", "0", "12"]:
         assert str(rational(s)) == s

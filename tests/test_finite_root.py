@@ -10,6 +10,7 @@ from rootsphere.finite_root import (
     AxiomReport,
     GroupTooLargeError,
     RootSystem,
+    _classify_components,
     base,
     characterize_finite,
     check_axioms,
@@ -297,6 +298,8 @@ def test_denominator_rhs_of_sets_that_are_not_root_systems(rplus):
     expected = _matrix_alternating_sum(rplus)
     assert len(expected) == 8
     assert denominator_rhs(rplus).terms == expected
+    # the base is not classified, so the walk runs without the order gate
+    assert sorted(w.det for w in enumerate_weyl(rplus)) == [-1] * 4 + [1] * 4
 
 
 def test_characterize_multiplicity_two():
@@ -361,6 +364,48 @@ def test_classify_names():
                          vector(["1/3", 1]), vector(["-1/3", -1])])
     with pytest.raises(ValueError, match="unrecognized"):
         classify(bad)
+
+
+CATALOG_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", CATALOG_TYPES)
+def test_classify_components_of_relabelled_simple_roots(name):
+    from rootsphere.catalog import standard_finite
+
+    pos = standard_finite(name).positive
+    simples = base(pos)
+    rng = random.Random(name)
+    for _ in range(3):
+        rng.shuffle(simples)
+        assert _classify_components(simples) == [(name[0], int(name[1:]))]
+    # the highest root maximizes <a, rho>; with its negative added the
+    # diagram is the extended (affine) one, which is of no finite type
+    rho = weyl_vector(pos)
+    highest = max(pos, key=lambda a: inner(a, rho))
+    with pytest.raises(ValueError, match="unrecognized"):
+        _classify_components(simples + [vneg(highest)])
+
+
+@pytest.mark.parametrize(
+    "simples",
+    [
+        [(1, -1, 0), (0, 1, -1), (-1, 0, 1)],  # affine A2: a cycle
+        [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 1, 1), (-1, -1, 0, 0)],  # affine D4
+        [(1, -1, 0), (-2, 1, 1), (1, 1, -2)],  # affine G2
+        [(2, 0), (-1, 1), (0, -2)],  # affine C2
+        [(1, 0), (1, 1)],  # an acute pair: positive Cartan entries
+    ],
+)
+def test_classify_components_rejects_diagrams_of_no_finite_type(simples):
+    with pytest.raises(ValueError, match="unrecognized"):
+        _classify_components([vector(a) for a in simples])
 
 
 def test_dual_route_never_disagrees():

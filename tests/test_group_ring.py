@@ -116,6 +116,25 @@ def test_support_map_drops_an_explicit_zero_at_the_origin():
             SignedSupportMap(2, {(Q(0), Q(0)): mult})
 
 
+def test_non_integer_multiplicities_are_rejected():
+    # int() would truncate these to 1 and 2
+    with pytest.raises(ValueError):
+        SupportMap(1, {(Q(1),): Q(3, 2)})
+    with pytest.raises(ValueError):
+        GroupRingElement(1, {(Q(1),): "3/2"})
+    with pytest.raises(ValueError):
+        element_from_json({"dim": 1, "terms": [{"v": ["1"], "c": "2.5"}]})
+    with pytest.raises(TypeError):
+        element_from_json({"dim": 1, "terms": [{"v": ["1"], "c": 2.5}]})
+    with pytest.raises(TypeError):
+        support_map_from_json({"dim": 1, "support": [{"v": ["1"], "mult": True}]})
+    with pytest.raises(TypeError):
+        support_map_from_json({"dim": 1.0, "support": [{"v": ["1"], "mult": 1}]})
+    with pytest.raises(ValueError):
+        truncated_product([((Q(1),), Q(3, 2))], (Q(1),), 3)
+    assert SupportMap(1, {(Q(1),): Q(4, 2)}).entries == {(Q(1),): 2}
+
+
 def test_keys_that_coerce_to_one_vector_are_summed():
     half = {"dim": 1, "terms": [{"v": ["1/2"], "c": "1"}, {"v": ["2/4"], "c": "1"}]}
     assert element_from_json(half) == monomial(1, (Q(1, 2),), 2)
