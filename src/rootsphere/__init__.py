@@ -1,116 +1,82 @@
-"""Exact sphere and paraboloid characterizations of multiplicative support expansions."""
+"""Exact sphere and paraboloid characterizations of multiplicative support expansions.
 
-from .affine_root import (
-    AffineAxiomReport,
-    AffineSupportSpec,
-    AffineVerdict,
-    AffineView,
-    ExplicitAffineSupport,
-    GeneratedAffineSupport,
-    affine_reflect_point,
-    affine_reflect_vec,
-    affine_weyl_rhs,
-    characterize_affine,
-    check_affine_axioms,
-    decompose,
-    enumerate_support,
-    imaginary_roots,
-)
-from .catalog import (
-    CatalogEntry,
-    mobius,
-    remark29_exponents,
-    remark210_counterexample,
-    series_inversion_oracle,
-    standard_finite,
-    untwisted_affine,
-)
-from .exact import AffineVector, Q, affine, rational, vector
-from .finite_root import (
-    AxiomReport,
-    FiniteVerdict,
-    GroupTooLargeError,
-    PositiveSystem,
-    RootSystem,
-    VerdictMismatchError,
-    base,
-    characterize_finite,
-    check_axioms,
-    classify,
-    denominator_rhs,
-    enumerate_weyl,
-    positive_roots,
-    reflect,
-    weyl_vector,
-)
-from .group_ring import (
-    DivisionTooLargeError,
-    ExpansionTooLargeError,
-    GroupRingElement,
-    NotDivisibleError,
-    SignedSupportMap,
-    SupportMap,
-    exact_divide,
-    expand_product,
-    shift_equivalent,
-    truncated_product,
-)
-from .quadric import ParaboloidFit, SphereFit, fit_paraboloid, fit_sphere
+Public names load on first access: ``rootsphere.fit_sphere`` imports
+``rootsphere.quadric`` when it is first read (PEP 562), so a program loads
+only the modules it uses.
+"""
 
-__all__ = [
-    "AffineAxiomReport",
-    "AffineSupportSpec",
-    "AffineVector",
-    "AffineVerdict",
-    "AffineView",
-    "AxiomReport",
-    "CatalogEntry",
-    "DivisionTooLargeError",
-    "ExpansionTooLargeError",
-    "ExplicitAffineSupport",
-    "FiniteVerdict",
-    "GeneratedAffineSupport",
-    "GroupRingElement",
-    "GroupTooLargeError",
-    "NotDivisibleError",
-    "ParaboloidFit",
-    "PositiveSystem",
-    "Q",
-    "RootSystem",
-    "SignedSupportMap",
-    "SphereFit",
-    "SupportMap",
-    "VerdictMismatchError",
-    "affine",
-    "affine_reflect_point",
-    "affine_reflect_vec",
-    "affine_weyl_rhs",
-    "base",
-    "characterize_affine",
-    "characterize_finite",
-    "check_affine_axioms",
-    "check_axioms",
-    "classify",
-    "decompose",
-    "denominator_rhs",
-    "enumerate_support",
-    "enumerate_weyl",
-    "exact_divide",
-    "expand_product",
-    "fit_paraboloid",
-    "fit_sphere",
-    "imaginary_roots",
-    "mobius",
-    "positive_roots",
-    "rational",
-    "reflect",
-    "remark29_exponents",
-    "remark210_counterexample",
-    "series_inversion_oracle",
-    "shift_equivalent",
-    "standard_finite",
-    "truncated_product",
-    "untwisted_affine",
-    "vector",
-    "weyl_vector",
-]
+from importlib import import_module
+
+# public name -> the module that defines it
+_EXPORTS = {
+    "AffineAxiomReport": "affine_root",
+    "AffineSupportSpec": "affine_root",
+    "AffineVector": "exact",
+    "AffineVerdict": "affine_root",
+    "AffineView": "affine_root",
+    "AxiomReport": "finite_root",
+    "CatalogEntry": "catalog",
+    "DivisionTooLargeError": "group_ring",
+    "ExpansionTooLargeError": "group_ring",
+    "ExplicitAffineSupport": "affine_root",
+    "FiniteVerdict": "finite_root",
+    "GeneratedAffineSupport": "affine_root",
+    "GroupRingElement": "group_ring",
+    "GroupTooLargeError": "finite_root",
+    "NotDivisibleError": "group_ring",
+    "ParaboloidFit": "quadric",
+    "PositiveSystem": "finite_root",
+    "Q": "exact",
+    "RootSystem": "finite_root",
+    "SignedSupportMap": "group_ring",
+    "SphereFit": "quadric",
+    "SupportMap": "group_ring",
+    "VerdictMismatchError": "finite_root",
+    "affine": "exact",
+    "affine_reflect_point": "affine_root",
+    "affine_reflect_vec": "affine_root",
+    "affine_weyl_rhs": "affine_root",
+    "base": "finite_root",
+    "characterize_affine": "affine_root",
+    "characterize_finite": "finite_root",
+    "check_affine_axioms": "affine_root",
+    "check_axioms": "finite_root",
+    "classify": "finite_root",
+    "decompose": "affine_root",
+    "denominator_rhs": "finite_root",
+    "enumerate_support": "affine_root",
+    "enumerate_weyl": "finite_root",
+    "exact_divide": "group_ring",
+    "expand_product": "group_ring",
+    "fit_paraboloid": "quadric",
+    "fit_sphere": "quadric",
+    "imaginary_roots": "affine_root",
+    "mobius": "catalog",
+    "positive_roots": "finite_root",
+    "rational": "exact",
+    "reflect": "finite_root",
+    "remark29_exponents": "catalog",
+    "remark210_counterexample": "catalog",
+    "series_inversion_oracle": "catalog",
+    "shift_equivalent": "group_ring",
+    "standard_finite": "catalog",
+    "truncated_product": "group_ring",
+    "untwisted_affine": "catalog",
+    "vector": "exact",
+    "weyl_vector": "finite_root",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

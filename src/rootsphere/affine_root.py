@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 from operator import mul
+from typing import NamedTuple
 
 from .exact import (
     AffineVector,
@@ -17,6 +17,7 @@ from .exact import (
     inner,
     integer,
     is_zero,
+    json_field,
     norm_sq,
     rational,
     span_rank,
@@ -28,20 +29,19 @@ from .exact import (
     zero_vector,
 )
 from .finite_root import (
+    DEFAULT_WEYL_BOUND,
     Matrix,
     RootSystem,
     VerdictMismatchError,
     _components,
+    _lex_positive,
     _only_opposite_parallels,
     _orbit_walk,
     _reflection_closure,
     base,
-    positive_roots,
 )
 from .group_ring import GroupRingElement, truncated_product
 from .quadric import ParaboloidFit, _fit_paraboloid_keys, paraboloid_fit_to_json
-
-DEFAULT_AFFINE_BOUND = 10**6
 
 
 def affine_inner(a: AffineVector, b: AffineVector) -> Fraction:
@@ -102,73 +102,109 @@ def affine_reflection_matrix(a: AffineVector) -> Matrix:
 # -- support specifications ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ExplicitAffineSupport:
-    """A finite list of graded support items with their multiplicities."""
+    """A finite list of graded support items: (AffineVector, multiplicity) pairs.
 
-    dim: int
-    items: tuple  # of (AffineVector, int)
-    grading: AffineVector
-    cutoff: Fraction
+    The constructor sums the multiplicities of repeated items and sorts them
+    by grade, then level, then part.  Equality and hash are over (dim,
+    items, grading, cutoff).  Specs are not to be mutated.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "cutoff", rational(self.cutoff))
-        if self.grading.level <= 0:
+    __slots__ = ("dim", "items", "grading", "cutoff")
+
+    def __init__(self, dim: int, items: tuple, grading: AffineVector, cutoff: Fraction):
+        cutoff = rational(cutoff)
+        if grading.level <= 0:
             raise ValueError("grading level must be positive")
-        if self.grading.dim != self.dim:
+        if grading.dim != dim:
             raise ValueError("dimension mismatch")
-        if self.cutoff <= 0:
+        if cutoff <= 0:
             raise ValueError("cutoff must be positive")
         merged: dict[AffineVector, int] = {}
-        for av, mult in self.items:
-            if av.dim != self.dim:
+        for av, mult in items:
+            if av.dim != dim:
                 raise ValueError("dimension mismatch")
             if av.level == 0 and is_zero(av.part):
                 raise ValueError("m(0) must be 0")
             mult = integer(mult)
             if mult <= 0:
                 raise ValueError("multiplicities must be positive")
-            g = grade(av, self.grading)
-            if g <= 0 or g > self.cutoff:
+            g = grade(av, grading)
+            if g <= 0 or g > cutoff:
                 raise ValueError("explicit item with grade > C or <= 0")
             merged[av] = merged.get(av, 0) + mult
-        items = tuple(sorted(merged.items(), key=lambda t: (grade(t[0], self.grading), t[0].level, t[0].part)))
-        if not items:
+        if not merged:
             raise ValueError("empty support")
-        object.__setattr__(self, "items", items)
+        self.dim, self.grading, self.cutoff = dim, grading, cutoff
+        self.items = tuple(sorted(merged.items(), key=lambda t: (grade(t[0], grading), t[0].level, t[0].part)))
+
+    def _compared(self) -> tuple:
+        return self.dim, self.items, self.grading, self.cutoff
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not ExplicitAffineSupport:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        return "ExplicitAffineSupport(dim={!r}, items={!r}, grading={!r}, cutoff={!r})".format(*self._compared())
 
 
-@dataclass(frozen=True)
 class GeneratedAffineSupport:
     """Level ladders over a finite root set, plus isotropic items of fixed multiplicity.
 
     Real items are (k*period; a) for every root a, graded positive and within
     the cutoff; isotropic items sit at the positive multiples of the period
-    with multiplicity equal to the rank.
+    with multiplicity equal to the rank.  The constructor coerces the roots,
+    drops repeats and sorts them.  Equality and hash are over (dim, roots,
+    grading, cutoff, period, name).  Specs are not to be mutated.
     """
 
-    dim: int
-    roots: tuple[Vector, ...]
-    grading: AffineVector
-    cutoff: Fraction
-    period: Fraction = Q(1)
-    name: str = ""
+    __slots__ = ("dim", "roots", "grading", "cutoff", "period", "name")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cutoff", rational(self.cutoff))
-        object.__setattr__(self, "period", rational(self.period))
-        object.__setattr__(self, "roots", tuple(sorted({vector(r) for r in self.roots})))
-        if self.grading.level <= 0:
+    def __init__(
+        self,
+        dim: int,
+        roots: tuple[Vector, ...],
+        grading: AffineVector,
+        cutoff: Fraction,
+        period: Fraction = Q(1),
+        name: str = "",
+    ):
+        cutoff, period = rational(cutoff), rational(period)
+        roots = tuple(sorted({vector(r) for r in roots}))
+        if grading.level <= 0:
             raise ValueError("grading level must be positive")
-        if self.cutoff <= 0:
+        if cutoff <= 0:
             raise ValueError("cutoff must be positive")
-        if self.period <= 0:
+        if period <= 0:
             raise ValueError("period must be positive")
-        for r in self.roots:
-            if len(r) != self.dim:
+        for r in roots:
+            if len(r) != dim:
                 raise ValueError("dimension mismatch")
             if is_zero(r):
                 raise ValueError("0 is not a root")
+        self.dim, self.roots, self.grading = dim, roots, grading
+        self.cutoff, self.period, self.name = cutoff, period, name
+
+    def _compared(self) -> tuple:
+        return self.dim, self.roots, self.grading, self.cutoff, self.period, self.name
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not GeneratedAffineSupport:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        return (
+            "GeneratedAffineSupport(dim={!r}, roots={!r}, grading={!r}, cutoff={!r}, period={!r}, name={!r})"
+        ).format(*self._compared())
 
     @property
     def rank(self) -> int:
@@ -213,8 +249,7 @@ def enumerate_support(spec: AffineSupportSpec) -> list[tuple[AffineVector, int]]
 # -- structure of the real part -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineView:
+class AffineView(NamedTuple):
     r1: tuple[Vector, ...]
     rinf: tuple[Vector, ...]
     q: dict
@@ -271,8 +306,7 @@ def imaginary_roots(view: AffineView, base_dirs, cutoff, grading: AffineVector) 
 # -- axioms at a truncation level ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineAxiomReport:
+class AffineAxiomReport(NamedTuple):
     ar1: bool
     ar2: bool
     ar3: bool
@@ -341,7 +375,7 @@ def _affine_base(items, grading: AffineVector) -> list[AffineVector]:
     return sorted(out, key=lambda a: (grade(a, grading), a.level, a.part))
 
 
-def affine_weyl_rhs(spec: AffineSupportSpec, bound: int = DEFAULT_AFFINE_BOUND) -> GroupRingElement:
+def affine_weyl_rhs(spec: AffineSupportSpec, bound: int = DEFAULT_WEYL_BOUND) -> GroupRingElement:
     """Sum of det(w) e^{s(w)} over group elements with grade(s(w)) <= cutoff.
 
     s(w) is the sum of the positive real roots sent negative by w.  The
@@ -366,8 +400,7 @@ def affine_weyl_rhs(spec: AffineSupportSpec, bound: int = DEFAULT_AFFINE_BOUND) 
 # -- characterization ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineVerdict:
+class AffineVerdict(NamedTuple):
     on_paraboloid: bool
     fit: ParaboloidFit | None
     cutoff: Fraction
@@ -423,7 +456,7 @@ def characterize_affine(spec: AffineSupportSpec) -> AffineVerdict:
     if view is not None:
         parts = sorted({av.part for av, _ in real})
         proj = RootSystem(spec.dim, tuple(parts) + tuple(vneg(p) for p in parts))
-        base_dirs = tuple(base(positive_roots(proj).rplus))
+        base_dirs = tuple(base(_lex_positive(proj.roots)))
         expected = imaginary_roots(view, base_dirs, spec.cutoff, spec.grading)
         imag_ok = expected == sorted(iso, key=lambda t: t[0].level)
 
@@ -454,8 +487,8 @@ def affine_vector_to_json(a: AffineVector) -> dict:
     return {"level": str(a.level), "v": [str(c) for c in a.part]}
 
 
-def affine_vector_from_json(d: dict) -> AffineVector:
-    return affine(d["level"], d["v"])
+def affine_vector_from_json(d: dict, where: str = "input") -> AffineVector:
+    return affine(json_field(d, "level", where), json_field(d, "v", where))
 
 
 def explicit_spec_to_json(spec: ExplicitAffineSupport) -> dict:
@@ -469,11 +502,16 @@ def explicit_spec_to_json(spec: ExplicitAffineSupport) -> dict:
 
 
 def explicit_spec_from_json(d: dict) -> ExplicitAffineSupport:
+    dim = integer(json_field(d, "dim"))
+    items = []
+    for n, item in enumerate(json_field(d, "items")):
+        where = f"items[{n}]"
+        items.append((affine_vector_from_json(item, where), integer(json_field(item, "mult", where))))
     return ExplicitAffineSupport(
-        dim=integer(d["dim"]),
-        items=tuple((affine_vector_from_json(i), integer(i["mult"])) for i in d["items"]),
-        grading=affine_vector_from_json(d["grading"]),
-        cutoff=rational(d["cutoff"]),
+        dim=dim,
+        items=tuple(items),
+        grading=affine_vector_from_json(json_field(d, "grading"), "grading"),
+        cutoff=rational(json_field(d, "cutoff")),
     )
 
 

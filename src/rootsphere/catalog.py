@@ -2,21 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
+from typing import TYPE_CHECKING, NamedTuple
 
-from .affine_root import GeneratedAffineSupport
 from .exact import AffineVector, Q, Vector, inner, rational, vector, vscale
 from .finite_root import RootSystem, _component_order, weyl_vector
 from .group_ring import GroupRingElement, SignedSupportMap, expand_product
 from .quadric import SphereFit, fit_sphere
 
+if TYPE_CHECKING:
+    from .affine_root import GeneratedAffineSupport
+
 _LETTERS = ("A", "B", "C", "D", "E", "F", "G")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """A named finite root system in its catalog realization.
 
     expected_weyl_order is read from the classification's table of Weyl
@@ -173,6 +174,8 @@ def default_grading(entry: CatalogEntry) -> AffineVector:
 
 def untwisted_affine(name: str, cutoff, grading: AffineVector | None = None) -> GeneratedAffineSupport:
     """Level ladders of period 1 over the named finite system."""
+    from .affine_root import GeneratedAffineSupport
+
     entry = standard_finite(name)
     if grading is None:
         grading = default_grading(entry)

@@ -1,4 +1,8 @@
-"""JSON command-line front end for the library."""
+"""JSON command-line front end for the library.
+
+The affine and catalog modules are imported by the commands that use them,
+so a command loads only what it runs.
+"""
 
 from __future__ import annotations
 
@@ -6,23 +10,7 @@ import argparse
 import json
 import sys
 
-from .affine_root import (
-    DEFAULT_AFFINE_BOUND,
-    affine_vector_from_json,
-    affine_verdict_to_json,
-    affine_weyl_rhs,
-    characterize_affine,
-    enumerate_support,
-    explicit_spec_from_json,
-)
-from .catalog import (
-    remark29_exponents,
-    remark210_counterexample,
-    series_inversion_oracle,
-    standard_finite,
-    untwisted_affine,
-)
-from .exact import integer, rational
+from .exact import integer, json_field, rational
 from .finite_root import (
     DEFAULT_WEYL_BOUND,
     GroupTooLargeError,
@@ -78,25 +66,33 @@ def _one_source(args) -> str:
 
 def _finite_map(src: str):
     if src.startswith("catalog:"):
+        from .catalog import standard_finite
+
         entry = standard_finite(src[len("catalog:"):])
         return SupportMap(entry.ambient_dim, {a: 1 for a in entry.positive})
     data = _load_json(src)
-    signed = any(integer(item["mult"]) < 0 for item in data.get("support", ()))
-    return support_map_from_json(data, signed=signed)
+    mults = (json_field(item, "mult", f"support[{i}]") for i, item in enumerate(data.get("support", ())))
+    return support_map_from_json(data, signed=any(integer(c) < 0 for c in mults))
 
 
 def _affine_spec(src: str, cutoff):
+    from .affine_root import affine_vector_from_json, explicit_spec_from_json
+
     if src.startswith("catalog-affine:"):
         if cutoff is None:
             raise CliError("--cutoff is required for affine input")
+        from .catalog import untwisted_affine
+
         return untwisted_affine(src[len("catalog-affine:"):], cutoff)
     data = _load_json(src)
     if data.get("kind") == "generated":
         c = cutoff if cutoff is not None else data.get("cutoff")
         if c is None:
             raise CliError("--cutoff is required for affine input")
-        grading = affine_vector_from_json(data["grading"]) if "grading" in data else None
-        return untwisted_affine(data["name"], c, grading)
+        from .catalog import untwisted_affine
+
+        grading = affine_vector_from_json(data["grading"], "grading") if "grading" in data else None
+        return untwisted_affine(json_field(data, "name"), c, grading)
     return explicit_spec_from_json(data)
 
 
@@ -110,6 +106,8 @@ def _cmd_expand(args) -> None:
 def _cmd_check(args) -> None:
     src = _one_source(args)
     if args.mode == "affine":
+        from .affine_root import affine_verdict_to_json, characterize_affine
+
         verdict = characterize_affine(_affine_spec(src, args.cutoff))
         _emit(affine_verdict_to_json(verdict), args.output)
         return
@@ -123,6 +121,8 @@ def _cmd_check(args) -> None:
 def _cmd_classify(args) -> None:
     src = _one_source(args)
     if src.startswith("catalog:"):
+        from .catalog import standard_finite
+
         rs = standard_finite(src[len("catalog:"):]).roots
     else:
         rs = root_system_from_json(_load_json(src))
@@ -130,6 +130,8 @@ def _cmd_classify(args) -> None:
 
 
 def _cmd_denominator(args) -> None:
+    from .catalog import standard_finite
+
     entry = standard_finite(args.name)
     # group side first: its size gate must fire before any large expansion
     rhs = denominator_rhs(entry.positive, args.weyl_bound)
@@ -147,6 +149,9 @@ def _cmd_denominator(args) -> None:
 
 
 def _cmd_macdonald(args) -> None:
+    from .affine_root import affine_weyl_rhs, enumerate_support
+    from .catalog import untwisted_affine
+
     if args.cutoff is None:
         raise CliError("--cutoff is required for affine input")
     spec = untwisted_affine(args.name, args.cutoff)
@@ -169,6 +174,8 @@ def _cmd_macdonald(args) -> None:
 
 
 def _cmd_counterexample(args) -> None:
+    from .catalog import remark29_exponents, remark210_counterexample, series_inversion_oracle
+
     if args.which == "remark29":
         exponents = remark29_exponents(args.kmax)
         oracle = series_inversion_oracle(args.kmax)
@@ -237,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--weyl-bound",
         type=int,
-        default=DEFAULT_AFFINE_BOUND,
+        default=DEFAULT_WEYL_BOUND,
         help="fail with 'group too large' once more group elements than this have grade <= cutoff",
     )
     sp.add_argument("--output")

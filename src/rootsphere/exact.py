@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Q = Fraction
 Vector = tuple[Fraction, ...]
@@ -35,6 +34,19 @@ def integer(x) -> int:
     if q.denominator != 1:
         raise ValueError(f"not an integer: {x!r}")
     return q.numerator
+
+
+def json_field(d, name: str, where: str = "input"):
+    """Field name of the JSON object d, which sits at place where (such as "support[0]").
+
+    ValueError reads "<where>: expected an object" when d is not an object,
+    and '<where>: missing field "<name>"' when it has no such field.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{where}: expected an object")
+    if name not in d:
+        raise ValueError(f'{where}: missing field "{name}"')
+    return d[name]
 
 
 def vector(coords: Iterable) -> Vector:
@@ -96,12 +108,27 @@ def _int_key(v: Vector, scale: int) -> tuple[int, ...]:
     return tuple(int(c * scale) for c in v)
 
 
-@dataclass(frozen=True)
 class AffineVector:
-    """A vector of the extended space: a level (first coordinate) plus a spatial part."""
+    """A vector of the extended space: a level (first coordinate) plus a spatial part.
 
-    level: Fraction
-    part: Vector
+    Equality and hash are over (level, part).  Vectors are not to be mutated.
+    """
+
+    __slots__ = ("level", "part")
+
+    def __init__(self, level: Fraction, part: Vector):
+        self.level, self.part = level, part
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not AffineVector:
+            return NotImplemented
+        return self.level == other.level and self.part == other.part
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.part))
+
+    def __repr__(self) -> str:
+        return f"AffineVector(level={self.level!r}, part={self.part!r})"
 
     def flatten(self) -> Vector:
         return (self.level,) + self.part
@@ -121,8 +148,7 @@ def unflatten(v: Vector) -> AffineVector:
     return AffineVector(v[0], v[1:])
 
 
-@dataclass(frozen=True)
-class LinearSolution:
+class LinearSolution(NamedTuple):
     """Outcome of an exact linear solve.
 
     kind is "unique", "affine-family", or "inconsistent".  For consistent

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import factorial, gcd, prod
 from operator import add, mul
@@ -17,6 +15,7 @@ from .exact import (
     _int_key,
     inner,
     integer,
+    json_field,
     norm_sq,
     span_rank,
     vadd,
@@ -38,27 +37,42 @@ class VerdictMismatchError(RuntimeError):
     """The geometric and axiomatic routes disagreed; this is a fatal internal error."""
 
 
-@dataclass(frozen=True)
 class RootSystem:
-    dim: int
-    roots: tuple[Vector, ...]
+    """A finite set of nonzero roots of dimension dim.
 
-    def __post_init__(self):
-        rs = sorted({vector(r) for r in self.roots})
+    The constructor coerces the roots to Fractions, drops repeats and sorts
+    them.  Equality and hash are over (dim, roots).  Systems are not to be
+    mutated.
+    """
+
+    __slots__ = ("dim", "roots")
+
+    def __init__(self, dim: int, roots: tuple[Vector, ...]):
+        rs = sorted({vector(r) for r in roots})
         for r in rs:
-            if len(r) != self.dim:
+            if len(r) != dim:
                 raise ValueError("dimension mismatch")
             if all(c == 0 for c in r):
                 raise ValueError("0 is not a root")
-        object.__setattr__(self, "roots", tuple(rs))
+        self.dim, self.roots = dim, tuple(rs)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not RootSystem:
+            return NotImplemented
+        return self.dim == other.dim and self.roots == other.roots
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.roots))
+
+    def __repr__(self) -> str:
+        return f"RootSystem(dim={self.dim!r}, roots={self.roots!r})"
 
     @property
     def rank(self) -> int:
         return span_rank(self.roots)[0]
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     fr1: bool
     fr2: bool
     fr3: bool
@@ -207,7 +221,12 @@ def positive_roots(rs: RootSystem) -> PositiveSystem:
     d = _common_denominator(rs.roots)
     m = 2 * max((int(abs(c) * d) for a in rs.roots for c in a), default=0) + 1
     sep = tuple(Q(m ** (rs.dim - 1 - i)) for i in range(rs.dim))
-    return PositiveSystem(sorted(a for a in rs.roots if next(c for c in a if c != 0) > 0), sep)
+    return PositiveSystem(_lex_positive(rs.roots), sep)
+
+
+def _lex_positive(roots) -> list[Vector]:
+    """The roots whose first nonzero coordinate is positive, sorted: the half of positive_roots."""
+    return sorted(a for a in roots if next(c for c in a if c != 0) > 0)
 
 
 def base(rplus) -> list[Vector]:
@@ -229,7 +248,6 @@ def weyl_vector(rplus) -> Vector:
     return vscale(Q(1, 2), acc)
 
 
-@dataclass(frozen=True)
 class WeylElement:
     """A group element w: its lex-least reduced word, det(w) and an orbit vector.
 
@@ -237,25 +255,46 @@ class WeylElement:
     right.  The orbit vector rho - w^-1(rho) is held only as the walk's
     integer key: it is key/scale.  The orbit walk steps by left
     multiplication, so the word is the walk's path from the identity to
-    w^-1.  matrix is built from the word on first access.
+    w^-1.  matrix is built from the word on first access and kept.
+    Equality, hash and repr are over (word, det, key, scale); the simple
+    roots the word refers to stay out of all three.
     """
 
-    word: tuple[int, ...]
-    det: int
-    key: tuple[int, ...]
-    scale: int
-    simples: tuple[Vector, ...] = field(repr=False, compare=False)
+    __slots__ = ("word", "det", "key", "scale", "simples", "_matrix")
 
-    @cached_property
+    def __init__(
+        self, word: tuple[int, ...], det: int, key: tuple[int, ...], scale: int, simples: tuple[Vector, ...]
+    ):
+        self.word, self.det, self.key, self.scale, self.simples = word, det, key, scale, simples
+        self._matrix = None
+
+    def _compared(self) -> tuple:
+        return self.word, self.det, self.key, self.scale
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not WeylElement:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        return "WeylElement(word={!r}, det={!r}, key={!r}, scale={!r})".format(*self._compared())
+
+    @property
     def matrix(self) -> Matrix:
-        m = identity_matrix(len(self.key))
-        for i in self.word:
-            m = mat_mul(m, reflection_matrix(self.simples[i]))
-        if mat_det(m) != self.det:
-            raise ArithmeticError("determinant bookkeeping failed")
-        return m
+        if self._matrix is None:
+            m = identity_matrix(len(self.key))
+            for i in self.word:
+                m = mat_mul(m, reflection_matrix(self.simples[i]))
+            if mat_det(m) != self.det:
+                raise ArithmeticError("determinant bookkeeping failed")
+            self._matrix = m
+        return self._matrix
 
 
+# default cap on the group elements a Weyl sum walks, finite (enumerate_weyl) and affine (affine_weyl_rhs)
 DEFAULT_WEYL_BOUND = 10**6
 
 _SERIES_ORDER = {
@@ -287,7 +326,7 @@ def weyl_order(roots) -> int:
     if not roots:
         raise ValueError("empty root set")
     rs = RootSystem(len(roots[0]), tuple(roots))
-    return _order_of_components(_classify_components(base(positive_roots(rs).rplus)))
+    return _order_of_components(_classify_components(base(_lex_positive(rs.roots))))
 
 
 def _order_of_components(components) -> int:
@@ -525,15 +564,14 @@ def _classify_components(simples: list[Vector]) -> list[tuple[str, int]]:
 
 def classify(rs: RootSystem) -> str:
     """Type name such as "A2" or "B2×A1", read off the Dynkin diagram of each component."""
-    simples = base(positive_roots(rs).rplus)
+    simples = base(_lex_positive(rs.roots))
     return "×".join(f"{letter}{rank}" for letter, rank in _classify_components(simples))
 
 
 # -- characterization ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteVerdict:
+class FiniteVerdict(NamedTuple):
     on_sphere: bool
     fit: SphereFit | None
     axioms: AxiomReport
@@ -596,7 +634,7 @@ def root_system_to_json(rs: RootSystem) -> dict:
 
 
 def root_system_from_json(d: dict) -> RootSystem:
-    return RootSystem(integer(d["dim"]), tuple(vector(r) for r in d["roots"]))
+    return RootSystem(integer(json_field(d, "dim")), tuple(vector(r) for r in json_field(d, "roots")))
 
 
 def axiom_report_to_json(rep: AxiomReport) -> dict:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import comb, floor, gcd, lcm
 from typing import Iterable
 
-from .exact import Vector, _common_denominator, _int_key, integer, rational, vector, vneg, zero_vector
+from .exact import Vector, _common_denominator, _int_key, integer, json_field, rational, vector, vneg, zero_vector
 
 # Resource limits: quotient terms of an exact division, and accumulator terms
 # of a product expansion (E6's peak is ~170 k terms, E7's result 2 903 040).
@@ -158,32 +157,45 @@ def support(x: GroupRingElement) -> list[Vector]:
     return x.support()
 
 
-@dataclass(frozen=True)
 class SupportMap:
-    """Finite multiplicity function m with m(0) = 0 and positive values."""
+    """Finite multiplicity function m with m(0) = 0 and positive values.
 
-    dim: int
-    entries: dict = field(default_factory=dict)
+    The constructor sums the multiplicities of keys that coerce to one
+    vector and drops zeros.  Equality compares (dim, entries) within one
+    class; a map is not hashable, since entries is a dict.  Maps are not to
+    be mutated.
+    """
+
+    __slots__ = ("dim", "entries")
 
     _signed = False
 
-    def __post_init__(self):
-        clean = _summed(self.dim, self.entries.items())
+    def __init__(self, dim: int, entries: dict | None = None):
+        clean = _summed(dim, (entries or {}).items())
         for v, m in clean.items():
             if all(c == 0 for c in v):
                 raise ValueError("m(0) must be 0")
             if m < 0 and not self._signed:
                 raise ValueError("multiplicities must be positive")
-        object.__setattr__(self, "entries", clean)
+        self.dim, self.entries = dim, clean
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.dim == other.dim and self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(dim={self.dim!r}, entries={self.entries!r})"
 
     def items(self) -> list[tuple[Vector, int]]:
         """The (vector, multiplicity) pairs as a list sorted by vector."""
         return sorted(self.entries.items())
 
 
-@dataclass(frozen=True)
 class SignedSupportMap(SupportMap):
     """Support map allowing negative multiplicities (still none at 0)."""
+
+    __slots__ = ()
 
     _signed = True
 
@@ -423,8 +435,8 @@ def element_to_json(x: GroupRingElement) -> dict:
 
 
 def element_from_json(d: dict) -> GroupRingElement:
-    dim = integer(d["dim"])
-    return GroupRingElement(dim, _summed(dim, ((t["v"], t["c"]) for t in d["terms"])))
+    dim = integer(json_field(d, "dim"))
+    return GroupRingElement(dim, _summed(dim, _json_pairs(d, "terms", "c")))
 
 
 def support_map_to_json(m: SupportMap) -> dict:
@@ -435,6 +447,13 @@ def support_map_to_json(m: SupportMap) -> dict:
 
 
 def support_map_from_json(d: dict, signed: bool = False) -> SupportMap:
-    dim = integer(d["dim"])
-    entries = _summed(dim, ((item["v"], item["mult"]) for item in d["support"]))
+    dim = integer(json_field(d, "dim"))
+    entries = _summed(dim, _json_pairs(d, "support", "mult"))
     return (SignedSupportMap if signed else SupportMap)(dim, entries)
+
+
+def _json_pairs(d: dict, name: str, coeff: str):
+    """(v, coefficient) of each object in the list d[name], the coefficient under key coeff."""
+    for i, item in enumerate(json_field(d, name)):
+        where = f"{name}[{i}]"
+        yield json_field(item, "v", where), json_field(item, coeff, where)

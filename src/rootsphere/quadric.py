@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import (
     AffineVector,
@@ -20,14 +20,12 @@ from .exact import (
 )
 
 
-@dataclass(frozen=True)
-class SphereFit:
+class SphereFit(NamedTuple):
     center: Vector
     radius_sq: Fraction
 
 
-@dataclass(frozen=True)
-class ParaboloidFit:
+class ParaboloidFit(NamedTuple):
     c: AffineVector
     r: Fraction
 

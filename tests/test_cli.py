@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import rootsphere
 import rootsphere.cli as cli_mod
 from rootsphere.affine_root import (
     ExplicitAffineSupport,
@@ -16,8 +20,14 @@ from rootsphere.affine_root import (
 from rootsphere.catalog import untwisted_affine
 from rootsphere.cli import main
 from rootsphere.exact import AffineVector, Q
-from rootsphere.finite_root import RootSystem, VerdictMismatchError, root_system_to_json
-from rootsphere.group_ring import SupportMap, support_map_to_json
+from rootsphere.finite_root import (
+    RootSystem,
+    VerdictMismatchError,
+    WeylElement,
+    characterize_finite,
+    root_system_to_json,
+)
+from rootsphere.group_ring import SignedSupportMap, SupportMap, support_map_to_json
 
 
 def run(capsys, *argv):
@@ -298,6 +308,97 @@ def test_input_that_is_not_an_object_is_an_error(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert "input must be a JSON object" in err, argv
+
+
+def test_missing_json_fields_are_named_with_their_place(tmp_path, capsys):
+    cases = [
+        (("check",), {"support": []}, 'input: missing field "dim"'),
+        (("check",), {"dim": 1, "support": [{"v": [1]}]}, 'support[0]: missing field "mult"'),
+        (("expand",), {"dim": 1, "support": [{"v": [1], "mult": 1}, {"mult": 1}]}, 'support[1]: missing field "v"'),
+        (("check",), {"dim": 1, "support": [[1]]}, "support[0]: expected an object"),
+        (("classify",), {"dim": 2}, 'input: missing field "roots"'),
+        (("check", "--mode", "affine", "--cutoff", "2"), {"kind": "generated"}, 'input: missing field "name"'),
+        (
+            ("check", "--mode", "affine"),
+            {"dim": 1, "items": [{"level": "1", "v": ["1"]}], "grading": {"level": "1", "v": ["0"]}, "cutoff": "2"},
+            'items[0]: missing field "mult"',
+        ),
+        (
+            ("check", "--mode", "affine"),
+            {"dim": 1, "items": [], "grading": {"v": ["0"]}, "cutoff": "2"},
+            'grading: missing field "level"',
+        ),
+    ]
+    for argv, data, message in cases:
+        src = write_json(tmp_path, "in.json", data)
+        code, out, err = run(capsys, *argv, src)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), (argv, data)
+
+
+def _fresh_python(code: str) -> str:
+    """stdout of code run by a new interpreter that sees only the standard library and this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rootsphere.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    out = _fresh_python("import sys, rootsphere.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert out.strip() == "[]"
+
+
+def test_finite_commands_load_no_affine_or_catalog_module(tmp_path):
+    m = write_json(tmp_path, "m.json", support_map_to_json(SupportMap(2, {(Q(1), Q(0)): 1, (Q(0), Q(1)): 1})))
+    rs = write_json(tmp_path, "rs.json", root_system_to_json(RootSystem(1, ((Q(1),), (Q(-1),)))))
+    jobs = [["check", m], ["classify", rs], ["expand", m]]
+    jobs = [argv + ["--output", str(tmp_path / f"out{i}.json")] for i, argv in enumerate(jobs)]
+    out = _fresh_python(
+        "import sys\n"
+        "from rootsphere.cli import main\n"
+        f"codes = [main(argv) for argv in {jobs!r}]\n"
+        "print(codes, sorted(n for n in ('rootsphere.affine_root', 'rootsphere.catalog') if n in sys.modules))"
+    )
+    assert out.strip() == "[0, 0, 0] []"
+
+
+def test_every_public_name_resolves_and_star_import_binds_them_all():
+    out = _fresh_python(
+        "import rootsphere\n"
+        "ns = {}\n"
+        "exec('from rootsphere import *', ns)\n"
+        "print(len(rootsphere.__all__), [n for n in rootsphere.__all__ if ns.get(n) is not getattr(rootsphere, n)])"
+    )
+    assert out.strip() == f"{len(rootsphere.__all__)} []"
+    assert len(set(rootsphere.__all__)) == len(rootsphere.__all__) == 55
+
+
+def test_equal_records_compare_and_hash_equal():
+    def twice(make):
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b
+        return a, b
+
+    for make in (
+        lambda: RootSystem(1, ((Q(1),), (Q(-1),))),
+        lambda: AffineVector(Q(1), (Q(1, 2), Q(0))),
+        lambda: characterize_finite(SupportMap(2, {(Q(1), Q(0)): 1, (Q(0), Q(1)): 1, (Q(1), Q(1)): 1})),
+        lambda: WeylElement((0, 1), 1, (2, 1), 1, ((Q(1),),)),
+    ):
+        a, b = twice(make)
+        assert hash(a) == hash(b) and len({a, b}) == 1 and b in {a}
+    # the simple roots a Weyl element refers to take no part in equality or hash
+    w = WeylElement((0,), -1, (1,), 1, ((Q(1),),))
+    assert w == WeylElement((0,), -1, (1,), 1, ((Q(2),),)) and len({w, WeylElement((0,), -1, (1,), 1, ())}) == 1
+    # a support map holds a dict, so it compares by value but is not hashable
+    m, _ = twice(lambda: SupportMap(2, {(1, 0): 2}))
+    assert m == SupportMap(2, {("1", "0"): 2})
+    with pytest.raises(TypeError):
+        hash(m)
+    assert m != SignedSupportMap(2, {(1, 0): 2}) and m != SupportMap(3, {(1, 0, 0): 2})
+    assert repr(RootSystem(1, ((Q(1),), (Q(-1),)))) == "RootSystem(dim=1, roots=((Fraction(-1, 1),), (Fraction(1, 1),)))"
+    assert repr(AffineVector(Q(1), (Q(0),))) == "AffineVector(level=Fraction(1, 1), part=(Fraction(0, 1),))"
 
 
 def test_verdict_mismatch_exit_code(capsys, monkeypatch):
