@@ -11,6 +11,7 @@ from .exact import (
     AffineVector,
     Q,
     Vector,
+    _Value,
     _common_denominator,
     _int_key,
     affine,
@@ -61,6 +62,11 @@ def grade(v: AffineVector, grading: AffineVector) -> Fraction:
     return full_inner(v, grading)
 
 
+def _graded(v: AffineVector, grading: AffineVector) -> tuple:
+    """The sort key of support items: grade, then level, then part."""
+    return grade(v, grading), v.level, v.part
+
+
 def linear_form(a: AffineVector, x: Vector) -> Fraction:
     """The affine-linear form of a root: <part(a), x> + level(a)."""
     return inner(a.part, x) + a.level
@@ -102,15 +108,14 @@ def affine_reflection_matrix(a: AffineVector) -> Matrix:
 # -- support specifications ---------------------------------------------------------
 
 
-class ExplicitAffineSupport:
+class ExplicitAffineSupport(_Value):
     """A finite list of graded support items: (AffineVector, multiplicity) pairs.
 
     The constructor sums the multiplicities of repeated items and sorts them
-    by grade, then level, then part.  Equality and hash are over (dim,
-    items, grading, cutoff).  Specs are not to be mutated.
+    by grade, then level, then part.
     """
 
-    __slots__ = ("dim", "items", "grading", "cutoff")
+    __slots__ = _fields = ("dim", "items", "grading", "cutoff")
 
     def __init__(self, dim: int, items: tuple, grading: AffineVector, cutoff: Fraction):
         cutoff = rational(cutoff)
@@ -136,34 +141,19 @@ class ExplicitAffineSupport:
         if not merged:
             raise ValueError("empty support")
         self.dim, self.grading, self.cutoff = dim, grading, cutoff
-        self.items = tuple(sorted(merged.items(), key=lambda t: (grade(t[0], grading), t[0].level, t[0].part)))
-
-    def _compared(self) -> tuple:
-        return self.dim, self.items, self.grading, self.cutoff
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not ExplicitAffineSupport:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self) -> int:
-        return hash(self._compared())
-
-    def __repr__(self) -> str:
-        return "ExplicitAffineSupport(dim={!r}, items={!r}, grading={!r}, cutoff={!r})".format(*self._compared())
+        self.items = tuple(sorted(merged.items(), key=lambda t: _graded(t[0], grading)))
 
 
-class GeneratedAffineSupport:
+class GeneratedAffineSupport(_Value):
     """Level ladders over a finite root set, plus isotropic items of fixed multiplicity.
 
     Real items are (k*period; a) for every root a, graded positive and within
     the cutoff; isotropic items sit at the positive multiples of the period
-    with multiplicity equal to the rank.  The constructor coerces the roots,
-    drops repeats and sorts them.  Equality and hash are over (dim, roots,
-    grading, cutoff, period, name).  Specs are not to be mutated.
+    with multiplicity equal to the rank.  The constructor coerces, dedupes
+    and checks the roots as RootSystem does.
     """
 
-    __slots__ = ("dim", "roots", "grading", "cutoff", "period", "name")
+    __slots__ = _fields = ("dim", "roots", "grading", "cutoff", "period", "name")
 
     def __init__(
         self,
@@ -175,36 +165,16 @@ class GeneratedAffineSupport:
         name: str = "",
     ):
         cutoff, period = rational(cutoff), rational(period)
-        roots = tuple(sorted({vector(r) for r in roots}))
         if grading.level <= 0:
             raise ValueError("grading level must be positive")
+        if grading.dim != dim:
+            raise ValueError("dimension mismatch")
         if cutoff <= 0:
             raise ValueError("cutoff must be positive")
         if period <= 0:
             raise ValueError("period must be positive")
-        for r in roots:
-            if len(r) != dim:
-                raise ValueError("dimension mismatch")
-            if is_zero(r):
-                raise ValueError("0 is not a root")
-        self.dim, self.roots, self.grading = dim, roots, grading
+        self.dim, self.roots, self.grading = dim, RootSystem(dim, roots).roots, grading
         self.cutoff, self.period, self.name = cutoff, period, name
-
-    def _compared(self) -> tuple:
-        return self.dim, self.roots, self.grading, self.cutoff, self.period, self.name
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not GeneratedAffineSupport:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self) -> int:
-        return hash(self._compared())
-
-    def __repr__(self) -> str:
-        return (
-            "GeneratedAffineSupport(dim={!r}, roots={!r}, grading={!r}, cutoff={!r}, period={!r}, name={!r})"
-        ).format(*self._compared())
 
     @property
     def rank(self) -> int:
@@ -242,7 +212,7 @@ def enumerate_support(spec: AffineSupportSpec) -> list[tuple[AffineVector, int]]
         k += 1
     if not items:
         raise ValueError("empty support")
-    items.sort(key=lambda t: (grade(t[0], spec.grading), t[0].level, t[0].part))
+    items.sort(key=lambda t: _graded(t[0], spec.grading))
     return items
 
 
@@ -372,7 +342,7 @@ def check_affine_axioms(spec: AffineSupportSpec) -> AffineAxiomReport:
 def _affine_base(items, grading: AffineVector) -> list[AffineVector]:
     """Positive real items that are not sums of two positive items (isotropic included)."""
     out = [unflatten(f) for f in base([av.flatten() for av, _ in items]) if not is_zero(f[1:])]
-    return sorted(out, key=lambda a: (grade(a, grading), a.level, a.part))
+    return sorted(out, key=lambda a: _graded(a, grading))
 
 
 def affine_weyl_rhs(spec: AffineSupportSpec, bound: int = DEFAULT_WEYL_BOUND) -> GroupRingElement:
@@ -516,17 +486,7 @@ def explicit_spec_from_json(d: dict) -> ExplicitAffineSupport:
 
 
 def affine_axiom_report_to_json(rep: AffineAxiomReport) -> dict:
-    return {
-        "ar1": rep.ar1,
-        "ar2": rep.ar2,
-        "ar3": rep.ar3,
-        "ar4": rep.ar4,
-        "ar5": rep.ar5,
-        "irreducible": rep.irreducible,
-        "rank": rep.rank,
-        "cutoff": str(rep.cutoff),
-        "real_count": rep.real_count,
-    }
+    return {**rep._asdict(), "cutoff": str(rep.cutoff)}
 
 
 def affine_verdict_to_json(v: AffineVerdict) -> dict:

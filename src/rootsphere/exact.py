@@ -108,27 +108,44 @@ def _int_key(v: Vector, scale: int) -> tuple[int, ...]:
     return tuple(int(c * scale) for c in v)
 
 
-class AffineVector:
-    """A vector of the extended space: a level (first coordinate) plus a spatial part.
+class _Value:
+    """Base of the value classes: equality, hash and repr over the fields named in _fields.
 
-    Equality and hash are over (level, part).  Vectors are not to be mutated.
+    Two instances are equal when they are of one exact class and their
+    fields are equal in order; == against any other class returns
+    NotImplemented.  hash is the hash of the tuple of fields, so a class
+    whose fields hold a dict sets __hash__ = None.  repr is
+    Name(f1=v1!r, f2=v2!r, ...).  A subclass states its fields once, as
+    __slots__ = _fields = (...); slots outside _fields, such as caches,
+    take no part.  Values are not to be mutated.
     """
 
-    __slots__ = ("level", "part")
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class AffineVector(_Value):
+    """A vector of the extended space: a level (first coordinate) plus a spatial part."""
+
+    __slots__ = _fields = ("level", "part")
 
     def __init__(self, level: Fraction, part: Vector):
         self.level, self.part = level, part
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not AffineVector:
-            return NotImplemented
-        return self.level == other.level and self.part == other.part
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.part))
-
-    def __repr__(self) -> str:
-        return f"AffineVector(level={self.level!r}, part={self.part!r})"
 
     def flatten(self) -> Vector:
         return (self.level,) + self.part

@@ -11,6 +11,7 @@ from typing import NamedTuple
 from .exact import (
     Q,
     Vector,
+    _Value,
     _common_denominator,
     _int_key,
     inner,
@@ -37,15 +38,14 @@ class VerdictMismatchError(RuntimeError):
     """The geometric and axiomatic routes disagreed; this is a fatal internal error."""
 
 
-class RootSystem:
+class RootSystem(_Value):
     """A finite set of nonzero roots of dimension dim.
 
     The constructor coerces the roots to Fractions, drops repeats and sorts
-    them.  Equality and hash are over (dim, roots).  Systems are not to be
-    mutated.
+    them.
     """
 
-    __slots__ = ("dim", "roots")
+    __slots__ = _fields = ("dim", "roots")
 
     def __init__(self, dim: int, roots: tuple[Vector, ...]):
         rs = sorted({vector(r) for r in roots})
@@ -55,17 +55,6 @@ class RootSystem:
             if all(c == 0 for c in r):
                 raise ValueError("0 is not a root")
         self.dim, self.roots = dim, tuple(rs)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not RootSystem:
-            return NotImplemented
-        return self.dim == other.dim and self.roots == other.roots
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.roots))
-
-    def __repr__(self) -> str:
-        return f"RootSystem(dim={self.dim!r}, roots={self.roots!r})"
 
     @property
     def rank(self) -> int:
@@ -248,39 +237,25 @@ def weyl_vector(rplus) -> Vector:
     return vscale(Q(1, 2), acc)
 
 
-class WeylElement:
+class WeylElement(_Value):
     """A group element w: its lex-least reduced word, det(w) and an orbit vector.
 
     w is the product of the simple reflections of the word, read left to
     right.  The orbit vector rho - w^-1(rho) is held only as the walk's
     integer key: it is key/scale.  The orbit walk steps by left
     multiplication, so the word is the walk's path from the identity to
-    w^-1.  matrix is built from the word on first access and kept.
-    Equality, hash and repr are over (word, det, key, scale); the simple
-    roots the word refers to stay out of all three.
+    w^-1.  matrix is built from the word on first access and kept.  The
+    simple roots the word refers to are not among the fields.
     """
 
-    __slots__ = ("word", "det", "key", "scale", "simples", "_matrix")
+    _fields = ("word", "det", "key", "scale")
+    __slots__ = _fields + ("simples", "_matrix")
 
     def __init__(
         self, word: tuple[int, ...], det: int, key: tuple[int, ...], scale: int, simples: tuple[Vector, ...]
     ):
         self.word, self.det, self.key, self.scale, self.simples = word, det, key, scale, simples
         self._matrix = None
-
-    def _compared(self) -> tuple:
-        return self.word, self.det, self.key, self.scale
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not WeylElement:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self) -> int:
-        return hash(self._compared())
-
-    def __repr__(self) -> str:
-        return "WeylElement(word={!r}, det={!r}, key={!r}, scale={!r})".format(*self._compared())
 
     @property
     def matrix(self) -> Matrix:
@@ -638,14 +613,7 @@ def root_system_from_json(d: dict) -> RootSystem:
 
 
 def axiom_report_to_json(rep: AxiomReport) -> dict:
-    return {
-        "fr1": rep.fr1,
-        "fr2": rep.fr2,
-        "fr3": rep.fr3,
-        "fr4": rep.fr4,
-        "fr5": rep.fr5,
-        "rank": rep.rank,
-    }
+    return rep._asdict()
 
 
 def finite_verdict_to_json(v: FiniteVerdict) -> dict:

@@ -7,7 +7,7 @@ from heapq import heappop, heappush
 from math import comb, floor, gcd, lcm
 from typing import Iterable
 
-from .exact import Vector, _common_denominator, _int_key, integer, json_field, rational, vector, vneg, zero_vector
+from .exact import Vector, _common_denominator, _Value, _int_key, integer, json_field, rational, vector, vneg, zero_vector
 
 # Resource limits: quotient terms of an exact division, and accumulator terms
 # of a product expansion (E6's peak is ~170 k terms, E7's result 2 903 040).
@@ -27,7 +27,7 @@ class ExpansionTooLargeError(ArithmeticError):
     """A product expansion passed MAX_EXPANSION_TERMS accumulator terms."""
 
 
-class GroupRingElement:
+class GroupRingElement(_Value):
     """Finite integer combination of formal exponentials e^v, keyed by lattice vector.
 
     The one state is (scale, ints): integer key k stands for the vector
@@ -36,11 +36,11 @@ class GroupRingElement:
     compares it.  The public constructor coerces the keys, checks their
     length, sums the coefficients of keys that coerce to one vector and
     drops zeros; a kernel builds the pair directly.  .terms, the dict keyed
-    by Fraction tuples, is a view built on each read.  Elements are not to
-    be mutated.
+    by Fraction tuples, is a view built on each read, and repr shows it.
     """
 
-    __slots__ = ("dim", "_scale", "_ints")
+    __slots__ = _fields = ("dim", "_scale", "_ints")
+    __hash__ = None
 
     def __init__(self, dim: int, terms: dict | None = None):
         clean = _summed(dim, (terms or {}).items())
@@ -74,11 +74,6 @@ class GroupRingElement:
 
     def __len__(self) -> int:
         return len(self._ints)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        return (self.dim, self._scale, self._ints) == (other.dim, other._scale, other._ints)
 
     def __repr__(self) -> str:
         return f"GroupRingElement(dim={self.dim}, terms={self.terms!r})"
@@ -157,16 +152,15 @@ def support(x: GroupRingElement) -> list[Vector]:
     return x.support()
 
 
-class SupportMap:
+class SupportMap(_Value):
     """Finite multiplicity function m with m(0) = 0 and positive values.
 
     The constructor sums the multiplicities of keys that coerce to one
-    vector and drops zeros.  Equality compares (dim, entries) within one
-    class; a map is not hashable, since entries is a dict.  Maps are not to
-    be mutated.
+    vector and drops zeros.
     """
 
-    __slots__ = ("dim", "entries")
+    __slots__ = _fields = ("dim", "entries")
+    __hash__ = None
 
     _signed = False
 
@@ -178,14 +172,6 @@ class SupportMap:
             if m < 0 and not self._signed:
                 raise ValueError("multiplicities must be positive")
         self.dim, self.entries = dim, clean
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.dim == other.dim and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(dim={self.dim!r}, entries={self.entries!r})"
 
     def items(self) -> list[tuple[Vector, int]]:
         """The (vector, multiplicity) pairs as a list sorted by vector."""

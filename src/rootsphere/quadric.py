@@ -86,6 +86,8 @@ def _fit_sphere_keys(keys: list, den: int) -> SphereFit | None:
     if r == 0:
         if len(keys) > 1:
             raise ArithmeticError("zero radius with distinct points")
+        if not dim:
+            raise ValueError("no sphere in dimension 0: its one point has no center off it")
         # single point: any center off the point works; perturb along e_1
         c[0] += scale
         r = scale * scale

@@ -170,6 +170,15 @@ def test_enumerate_validation():
             cutoff=Q(1),
             period=Q(-1),
         )
+    # a grading, item or root of another dimension, and a zero root, are refused when the spec is built
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        GeneratedAffineSupport(3, (vector([1, -1, 0]),), affine(1, [1]), Q(3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ExplicitAffineSupport(dim=3, items=((affine(1, [1, -1, 0]), 1),), grading=affine(1, [1]), cutoff=Q(3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        GeneratedAffineSupport(1, (vector([1]), vector([1, 0])), affine(1, ["1/2"]), Q(1))
+    with pytest.raises(ValueError, match="0 is not a root"):
+        GeneratedAffineSupport(1, (vector([1]), vector([0])), affine(1, ["1/2"]), Q(1))
 
 
 def test_explicit_rejects_non_integer_multiplicities():

@@ -13,13 +13,14 @@ import rootsphere
 import rootsphere.cli as cli_mod
 from rootsphere.affine_root import (
     ExplicitAffineSupport,
+    GeneratedAffineSupport,
     characterize_affine,
     enumerate_support,
     explicit_spec_to_json,
 )
 from rootsphere.catalog import untwisted_affine
 from rootsphere.cli import main
-from rootsphere.exact import AffineVector, Q
+from rootsphere.exact import AffineVector, Q, affine
 from rootsphere.finite_root import (
     RootSystem,
     VerdictMismatchError,
@@ -27,7 +28,7 @@ from rootsphere.finite_root import (
     characterize_finite,
     root_system_to_json,
 )
-from rootsphere.group_ring import SignedSupportMap, SupportMap, support_map_to_json
+from rootsphere.group_ring import GroupRingElement, SignedSupportMap, SupportMap, support_map_to_json
 
 
 def run(capsys, *argv):
@@ -385,6 +386,8 @@ def test_equal_records_compare_and_hash_equal():
         lambda: AffineVector(Q(1), (Q(1, 2), Q(0))),
         lambda: characterize_finite(SupportMap(2, {(Q(1), Q(0)): 1, (Q(0), Q(1)): 1, (Q(1), Q(1)): 1})),
         lambda: WeylElement((0, 1), 1, (2, 1), 1, ((Q(1),),)),
+        lambda: ExplicitAffineSupport(1, ((affine(1, [1]), 1), (affine(1, [1]), 1)), affine(1, [0]), 2),
+        lambda: GeneratedAffineSupport(1, ((1,), (-1,), ("-1",)), affine(1, ["1/2"]), 2, name="A1"),
     ):
         a, b = twice(make)
         assert hash(a) == hash(b) and len({a, b}) == 1 and b in {a}
@@ -399,6 +402,39 @@ def test_equal_records_compare_and_hash_equal():
     assert m != SignedSupportMap(2, {(1, 0): 2}) and m != SupportMap(3, {(1, 0, 0): 2})
     assert repr(RootSystem(1, ((Q(1),), (Q(-1),)))) == "RootSystem(dim=1, roots=((Fraction(-1, 1),), (Fraction(1, 1),)))"
     assert repr(AffineVector(Q(1), (Q(0),))) == "AffineVector(level=Fraction(1, 1), part=(Fraction(0, 1),))"
+    s, _ = twice(lambda: SignedSupportMap(1, {(1,): -1}))
+    with pytest.raises(TypeError, match="unhashable type: 'SignedSupportMap'"):
+        hash(s)
+    assert s != SignedSupportMap(1, {(1,): 1})
+    # the repr of every value class
+    for value, text in (
+        (SupportMap(1, {(1,): 2}), "SupportMap(dim=1, entries={(Fraction(1, 1),): 2})"),
+        (s, "SignedSupportMap(dim=1, entries={(Fraction(1, 1),): -1})"),
+        (
+            ExplicitAffineSupport(1, ((affine(1, [1]), 1),), affine(1, [0]), 2),
+            "ExplicitAffineSupport(dim=1, items=((AffineVector(level=Fraction(1, 1), part=(Fraction(1, 1),)), 1),),"
+            " grading=AffineVector(level=Fraction(1, 1), part=(Fraction(0, 1),)), cutoff=Fraction(2, 1))",
+        ),
+        (
+            GeneratedAffineSupport(1, ((1,), (-1,)), affine(1, ["1/2"]), 2, name="A1"),
+            "GeneratedAffineSupport(dim=1, roots=((Fraction(-1, 1),), (Fraction(1, 1),)),"
+            " grading=AffineVector(level=Fraction(1, 1), part=(Fraction(1, 2),)), cutoff=Fraction(2, 1),"
+            " period=Fraction(1, 1), name='A1')",
+        ),
+        (WeylElement((0,), -1, (1,), 1, ((Q(1),),)), "WeylElement(word=(0,), det=-1, key=(1,), scale=1)"),
+        (GroupRingElement(1, {(1,): 2}), "GroupRingElement(dim=1, terms={(Fraction(1, 1),): 2})"),
+    ):
+        assert repr(value) == text
+
+
+def test_finite_check_in_dimension_0_is_an_error(tmp_path, capsys):
+    # the expansion is the constant 1, a single point of R^0, which lies on no sphere
+    src = write_json(tmp_path, "m.json", {"dim": 0, "support": []})
+    code, out, err = run(capsys, "check", src)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "dimension 0" in err
+    code, out, err = run(capsys, "expand", src)
+    assert code == 0 and json.loads(out) == {"dim": 0, "terms": [{"c": "1", "v": []}]}
 
 
 def test_verdict_mismatch_exit_code(capsys, monkeypatch):
