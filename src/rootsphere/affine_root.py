@@ -430,13 +430,7 @@ def characterize_affine(spec: AffineSupportSpec) -> AffineVerdict:
         expected = imaginary_roots(view, base_dirs, spec.cutoff, spec.grading)
         imag_ok = expected == sorted(iso, key=lambda t: t[0].level)
 
-    axiomatic = real_ok and levels_arithmetic and imag_ok and axioms.all_pass() and axioms.irreducible
-    if axioms.irreducible and axiomatic and not on_paraboloid:
-        raise VerdictMismatchError(
-            "axiomatic verdict True disagrees with paraboloid verdict False"
-        )
-
-    return AffineVerdict(
+    verdict = AffineVerdict(
         on_paraboloid=on_paraboloid,
         fit=fit,
         cutoff=spec.cutoff,
@@ -448,6 +442,9 @@ def characterize_affine(spec: AffineSupportSpec) -> AffineVerdict:
         irreducible=axioms.irreducible,
         imaginary_base=base_dirs,
     )
+    if verdict.axiomatic_verdict() and not on_paraboloid:
+        raise VerdictMismatchError("axiomatic verdict True disagrees with paraboloid verdict False")
+    return verdict
 
 
 # -- serialization ----------------------------------------------------------------

@@ -57,27 +57,13 @@ def _e8_roots() -> list[Vector]:
 
 
 def _e7_roots() -> list[Vector]:
-    roots = _pm_pairs(8, range(6))
-    for s in (1, -1):
-        v = [Q(0)] * 8
-        v[6], v[7] = Q(s), Q(-s)
-        roots.append(tuple(v))
-    for signs in product((1, -1), repeat=6):
-        if signs.count(-1) % 2 == 1:
-            for s in (1, -1):
-                roots.append(tuple(Q(x, 2) for x in signs) + (Q(s, 2), Q(-s, 2)))
-    return roots
+    """The E8 roots a with a7 + a8 = 0 (coordinates counted from 1)."""
+    return [a for a in _e8_roots() if a[6] + a[7] == 0]
 
 
 def _e6_roots() -> list[Vector]:
-    roots = _pm_pairs(8, range(5))
-    for signs in product((1, -1), repeat=5):
-        if signs.count(-1) % 2 == 0:
-            head = tuple(Q(x, 2) for x in signs)
-            v = head + (Q(-1, 2), Q(-1, 2), Q(1, 2))
-            roots.append(v)
-            roots.append(tuple(-c for c in v))
-    return roots
+    """The E8 roots a with a6 = a7 = -a8 (coordinates counted from 1)."""
+    return [a for a in _e8_roots() if a[5] == a[6] == -a[7]]
 
 
 def _f4_roots() -> list[Vector]:

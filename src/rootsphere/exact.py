@@ -1,10 +1,10 @@
-"""Exact rational vectors, integer keys, linear solving, and generic separating functionals."""
+"""Exact rational vectors, integer keys, one fraction-free elimination, and separating functionals."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, product
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 Q = Fraction
@@ -179,13 +179,18 @@ class LinearSolution(NamedTuple):
 
 
 def solve_linear(rows: Sequence[Iterable], rhs: Sequence, ncols: int | None = None) -> LinearSolution:
-    """Solve rows . x = rhs exactly by Gauss-Jordan elimination.
+    """Solve rows . x = rhs exactly.
 
-    Pivots are chosen in column order, scanning rows top-down, so the result
-    is deterministic for a given input ordering.
+    The augmented rows [row | rhs] go through _echelon; a pivot in the rhs
+    column means the system is inconsistent.  Otherwise the pivot variables
+    are found by back-substitution in reverse pick order, since each basis
+    row is zero at the pivots of the rows picked before it.  The particular
+    solution and the kernel vectors are the unique ones with the free
+    variables at 0 (a kernel vector has 1 at its own free column), so the
+    result depends on the solution set alone, not on the order of the rows.
     """
-    mat = [vector(r) for r in rows]
-    b = [rational(x) for x in rhs]
+    mat = [[c if isinstance(c, int) else rational(c) for c in r] for r in rows]
+    b = [c if isinstance(c, int) else rational(c) for c in rhs]
     if len(mat) != len(b):
         raise ValueError("row/rhs length mismatch")
     if mat:
@@ -199,58 +204,39 @@ def solve_linear(rows: Sequence[Iterable], rhs: Sequence, ncols: int | None = No
     else:
         raise ValueError("empty system needs an explicit column count")
 
-    aug = [list(r) + [b[i]] for i, r in enumerate(mat)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if aug[i][n] != 0:
-            return LinearSolution("inconsistent", None, ())
+    basis, _ = _echelon(r + [c] for r, c in zip(mat, b))
+    pivots = {p for _, p in basis}
+    if n in pivots:
+        return LinearSolution("inconsistent", None, ())
 
-    free = [c for c in range(n) if c not in set(pivots)]
-    part = [Q(0)] * n
-    for i, c in enumerate(pivots):
-        part[c] = aug[i][n]
-    kernel = []
-    for fc in free:
-        k = [Q(0)] * n
-        k[fc] = Q(1)
-        for i, c in enumerate(pivots):
-            k[c] = -aug[i][fc]
-        kernel.append(tuple(k))
-    kind = "unique" if not free else "affine-family"
-    return LinearSolution(kind, tuple(part), tuple(kernel))
+    def back_substituted(x: list, t: int) -> Vector:
+        # x holds the free variables and 0 elsewhere; t weighs the rhs column
+        for bv, p in reversed(basis):
+            x[p] = Q(t * bv[n] - sum(map(mul, bv, x)), bv[p])
+        return tuple(x)
+
+    free = [c for c in range(n) if c not in pivots]
+    part = back_substituted([Q(0)] * n, 1)
+    kernel = tuple(back_substituted([Q(int(c == fc)) for c in range(n)], 0) for fc in free)
+    return LinearSolution("affine-family" if free else "unique", part, kernel)
 
 
-def span_rank(vectors: Sequence[Iterable]) -> tuple[int, list[int]]:
-    """Rank of the span plus the indices of a greedy basis, in input order.
+def _echelon(rows: Iterable[list]) -> tuple[list[tuple[list[int], int]], list[int]]:
+    """Greedy fraction-free echelon basis of rows of ints and Fractions, with its pivots and picks.
 
     Row i is picked when it is independent of the rows picked before it, so
     the answer depends on the input alone.  The elimination is fraction-free
     (cf. Bareiss 1968): each row is scaled to integers by its own denominator
-    lcm, which keeps its direction; a row is reduced by the basis as
-    w <- b[p]*w - w[p]*b, which clears w at the pivot p of b and keeps the
-    zeros at earlier pivots; a new basis row is divided by its gcd.  Once
-    the rank is the row width, every later row is dependent.
+    lcm, which keeps its direction; a row is reduced by each basis row b with
+    pivot p (b's first nonzero column) as w <- b[p]*w - w[p]*b, which clears
+    w at p and keeps the zeros at earlier pivots, so each basis row is zero
+    at the pivots of the rows picked before it; a new basis row is divided
+    by its gcd.  Once the rank is the row width, every later row is
+    dependent and is not read.
     """
     basis: list[tuple[list[int], int]] = []
     picked: list[int] = []
-    for i, raw in enumerate(vectors):
-        row = [c if isinstance(c, int) else rational(c) for c in raw]
+    for i, row in enumerate(rows):
         d = lcm(*(c.denominator for c in row))
         w = [c.numerator * (d // c.denominator) for c in row]
         for bv, pc in basis:
@@ -265,70 +251,47 @@ def span_rank(vectors: Sequence[Iterable]) -> tuple[int, list[int]]:
             picked.append(i)
             if len(picked) == len(w):
                 break
+    return basis, picked
+
+
+def span_rank(vectors: Sequence[Iterable]) -> tuple[int, list[int]]:
+    """Rank of the span plus the indices of a greedy basis, in input order (see _echelon)."""
+    _, picked = _echelon([c if isinstance(c, int) else rational(c) for c in raw] for raw in vectors)
     return len(picked), picked
 
 
-_BOX_CAP = 20000
-
-
-def _int_candidates(k: int):
-    """Nonzero integer k-tuples from growing boxes, a fixed deterministic stream.
-
-    Each box of radius B contributes a geometric probe (1, B, B^2, ...) first
-    (it separates any fixed finite set once B is large enough, so termination
-    never depends on walking a huge box), then the full box when it is small
-    enough to enumerate, with per-coordinate order 0, 1, -1, 2, -2, ...
-    """
-    for bound in count(1):
-        yield tuple(bound**j for j in range(k))
-        seq = [0]
-        for m in range(1, bound + 1):
-            seq.extend((m, -m))
-        if len(seq) ** k <= _BOX_CAP:
-            for coeffs in product(seq, repeat=k):
-                if max(abs(c) for c in coeffs) == bound:
-                    yield coeffs
-
-
 def generic_separator(S: Sequence[Iterable], p: Iterable) -> Vector:
-    """First deterministic n with {s in S : <s,n> = 0} = (line through p) intersect S.
+    """A functional n with {s in S : <s,n> = 0} = (line through p) intersect S, in closed form.
 
-    Candidates are integer combinations of a basis of the orthogonal
-    complement of p (the whole space when p = 0), enumerated over growing
-    boxes; each candidate is verified exactly before being returned.
+    With d_0, ..., d_(k-1) the kernel basis of <p, x> = 0 (the unit vectors
+    when p = 0), s is on the line exactly when every <s, d_j> is 0.  With
+    those values scaled to integers a_j (by the common denominators of S and
+    of the d_j) and M = 2*max|a_j| + 1, n = sum_j M^(k-1-j)*d_j gives <s, n>
+    the sign of the first nonzero a_j, whose term outweighs all later ones
+    together.  n is checked exactly on every point before it is returned.
     """
     pts = [vector(s) for s in S]
     if not pts:
         raise ValueError("empty set has no separator")
-    n = len(pts[0])
+    dim = len(pts[0])
     pv = vector(p)
-    if len(pv) != n:
+    if len(pv) != dim or any(len(s) != dim for s in pts):
         raise ValueError("dimension mismatch")
-
     if is_zero(pv):
-        dirs: list[Vector] = [tuple(Q(1) if j == i else Q(0) for j in range(n)) for i in range(n)]
+        dirs = [tuple(Q(int(i == j)) for j in range(dim)) for i in range(dim)]
     else:
         dirs = list(solve_linear([pv], [0]).kernel_basis)
-
-    def on_line(s: Vector) -> bool:
-        if is_zero(pv):
-            return is_zero(s)
-        # s = t*p exactly, for the t suggested by the first nonzero coordinate
-        j = next(i for i, c in enumerate(pv) if c != 0)
-        t = s[j] / pv[j]
-        return s == vscale(t, pv)
-
-    targets = [s for s in pts if on_line(s)]
-    others = [s for s in pts if not on_line(s)]
     if not dirs:
         # p spans V (dimension 1): every point is on the line, nothing to separate
-        return (Q(1),) * n
+        return (Q(1),) * dim
 
-    for coeffs in _int_candidates(len(dirs)):
-        cand = zero_vector(n)
-        for c, d in zip(coeffs, dirs):
-            if c:
-                cand = vadd(cand, vscale(c, d))
-        if all(inner(s, cand) == 0 for s in targets) and all(inner(s, cand) != 0 for s in others):
-            return cand
-    raise RuntimeError("unreachable")
+    ds, dd = _common_denominator(pts), _common_denominator(dirs)
+    keys, dkeys = [_int_key(s, ds) for s in pts], [_int_key(d, dd) for d in dirs]
+    a = [[sum(map(mul, s, d)) for d in dkeys] for s in keys]
+    m = 2 * max(abs(x) for row in a for x in row) + 1
+    k = len(dirs)
+    sep = [sum(m ** (k - 1 - j) * d[i] for j, d in enumerate(dkeys)) for i in range(dim)]
+    for s, row in zip(keys, a):
+        if (sum(map(mul, s, sep)) == 0) != (not any(row)):
+            raise ArithmeticError("separator failed exact verification")
+    return tuple(Q(x, dd) for x in sep)

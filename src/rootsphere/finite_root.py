@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, prod
-from operator import add, mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from .exact import (
@@ -14,6 +14,7 @@ from .exact import (
     _Value,
     _common_denominator,
     _int_key,
+    generic_separator,
     inner,
     integer,
     json_field,
@@ -48,6 +49,8 @@ class RootSystem(_Value):
     __slots__ = _fields = ("dim", "roots")
 
     def __init__(self, dim: int, roots: tuple[Vector, ...]):
+        if dim < 0:
+            raise ValueError("dim must be >= 0")
         rs = sorted({vector(r) for r in roots})
         for r in rs:
             if len(r) != dim:
@@ -202,14 +205,13 @@ class PositiveSystem(NamedTuple):
 def positive_roots(rs: RootSystem) -> PositiveSystem:
     """Lexicographic positive half, with a separator that is exactly positive on it.
 
-    A root is positive when its first nonzero coordinate is positive.  With
-    the coordinates scaled to integers by their common denominator and
-    M > 2*max|coordinate|, the functional (M^(n-1), ..., M, 1) takes the sign
-    of the first nonzero coordinate on every root, so no search is needed.
+    A root is positive when its first nonzero coordinate is positive.  The
+    separator is generic_separator(roots, 0), the functional
+    (M^(n-1), ..., M, 1) with M > 2*max|coordinate| once the coordinates are
+    scaled to integers: it takes the sign of the first nonzero coordinate on
+    every root.  With no roots it is (1, ..., 1).
     """
-    d = _common_denominator(rs.roots)
-    m = 2 * max((int(abs(c) * d) for a in rs.roots for c in a), default=0) + 1
-    sep = tuple(Q(m ** (rs.dim - 1 - i)) for i in range(rs.dim))
+    sep = generic_separator(rs.roots, zero_vector(rs.dim)) if rs.roots else (Q(1),) * rs.dim
     return PositiveSystem(_lex_positive(rs.roots), sep)
 
 
@@ -219,12 +221,15 @@ def _lex_positive(roots) -> list[Vector]:
 
 
 def base(rplus) -> list[Vector]:
-    """Elements of the positive half that are not sums of two of its elements."""
+    """Elements of the positive half that are not sums of two of its elements.
+
+    k is such a sum exactly when k - x is an element for some element x.
+    """
     pos = [vector(a) for a in rplus]
     scale = _common_denominator(pos)
     keys = [_int_key(a, scale) for a in pos]
-    sums = {tuple(map(add, x, y)) for x in keys for y in keys}
-    return sorted(a for a, k in zip(pos, keys) if k not in sums)
+    present = set(keys)
+    return sorted(a for a, k in zip(pos, keys) if not any(tuple(map(sub, k, x)) in present for x in keys))
 
 
 def weyl_vector(rplus) -> Vector:

@@ -112,6 +112,8 @@ def _summed(dim: int, pairs) -> dict:
 
     Pairs whose vectors coerce to one key are summed, then zeros dropped.
     """
+    if dim < 0:
+        raise ValueError("dim must be >= 0")
     out: dict = {}
     for v, c in pairs:
         v = vector(v)

@@ -114,27 +114,21 @@ def fit_paraboloid(points) -> ParaboloidFit | None:
 def _fit_paraboloid_keys(keys: list, den: int) -> ParaboloidFit | None:
     """fit_paraboloid of the points k/den, for distinct flattened integer keys k.
 
-    Only a greedy basis of the augmented rows [row | rhs] is solved.  Those
-    rows span the same row space as all rows, so they are inconsistent
-    exactly when the full system is, and otherwise have the same reduced row
-    echelon form, hence the same particular solution, kernel basis and
-    pinned witness.  Rows are scaled to integers by den^2 first, which
-    changes neither.  The witness is then verified exactly on every point.
+    Rows are scaled to integers by den^2 first, which changes neither the
+    solution set nor the pinned witness.  The witness is then verified
+    exactly on every point.
     """
     if not keys:
         raise ValueError("no points")
     n = len(keys[0]) - 1
     l0, q0 = keys[0][0], keys[0][1:]
     n0 = _dot(q0, q0)
-    aug = []
+    rows, rhs = [], []
     for k in keys[1:]:
         q = k[1:]
-        aug.append((_dot(q, q) - n0, *(-2 * den * (x - y) for x, y in zip(q, q0)), den * (k[0] - l0)))
-    rank, idx = span_rank(aug)
-    if rank == n + 2:
-        # rank [A | b] = n + 2 > n + 1 >= rank A: b is outside the column space
-        return None
-    sol = solve_linear([aug[i][:-1] for i in idx], [aug[i][-1] for i in idx], ncols=1 + n)
+        rows.append([_dot(q, q) - n0, *(-2 * den * (x - y) for x, y in zip(q, q0))])
+        rhs.append(den * (k[0] - l0))
+    sol = solve_linear(rows, rhs, ncols=1 + n)
     if sol.kind == "inconsistent":
         return None
 

@@ -526,6 +526,20 @@ def test_characterize_a1_positive():
         assert _fit_holds(v.fit, av)
 
 
+def test_characterize_raises_when_the_axioms_accept_and_no_paraboloid_fits(monkeypatch):
+    import rootsphere.affine_root as affine_root_mod
+    from rootsphere.finite_root import VerdictMismatchError
+
+    monkeypatch.setattr(affine_root_mod, "_fit_paraboloid_keys", lambda keys, den: None)
+    with pytest.raises(VerdictMismatchError, match="^axiomatic verdict True disagrees with paraboloid verdict False$"):
+        characterize_affine(a1_spec(4))
+    # when the axioms reject the support too, the verdict is returned
+    spec = untwisted_affine("A1", 4)
+    doubled = tuple((av, 2 * m) for av, m in enumerate_support(spec))
+    v = characterize_affine(ExplicitAffineSupport(dim=spec.dim, items=doubled, grading=spec.grading, cutoff=spec.cutoff))
+    assert not v.on_paraboloid and not v.axiomatic_verdict()
+
+
 def test_characterize_imaginary_bump_fails():
     spec = untwisted_affine("A1", 4)
     items = enumerate_support(spec)

@@ -437,6 +437,17 @@ def test_finite_check_in_dimension_0_is_an_error(tmp_path, capsys):
     assert code == 0 and json.loads(out) == {"dim": 0, "terms": [{"c": "1", "v": []}]}
 
 
+def test_negative_dimension_is_named(tmp_path, capsys):
+    src = write_json(tmp_path, "m.json", {"dim": -1, "support": []})
+    for command in ("check", "expand"):
+        code, out, err = run(capsys, command, src)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "dim" in err and "mismatch" not in err
+    for build in (lambda: SupportMap(-1, {}), lambda: GroupRingElement(-1, {}), lambda: RootSystem(-2, ())):
+        with pytest.raises(ValueError, match="dim must be >= 0"):
+            build()
+
+
 def test_verdict_mismatch_exit_code(capsys, monkeypatch):
     def boom(_):
         raise VerdictMismatchError("routes disagree")

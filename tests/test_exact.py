@@ -150,6 +150,79 @@ def test_solve_substitution_property():
             assert all(inner(vector(row), kv) == 0 for row in rows)
 
 
+def _solve_linear_reference(rows, rhs, n):
+    # Gauss-Jordan on Fractions, pivots in column order, free variables at 0
+    aug = [list(vector(r)) + [Q(b)] for r, b in zip(rows, rhs)]
+    pivots, r = [], 0
+    for c in range(n):
+        pr = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    if any(row[n] != 0 for row in aug[r:]):
+        return ("inconsistent", None, ())
+    free = [c for c in range(n) if c not in pivots]
+    part = [Q(0)] * n
+    for i, c in enumerate(pivots):
+        part[c] = aug[i][n]
+    kernel = []
+    for fc in free:
+        k = [Q(0)] * n
+        k[fc] = Q(1)
+        for i, c in enumerate(pivots):
+            k[c] = -aug[i][fc]
+        kernel.append(tuple(k))
+    return ("affine-family" if free else "unique", tuple(part), tuple(kernel))
+
+
+def test_solve_linear_matches_gauss_jordan_reference():
+    rng = random.Random(6174)
+    kinds = {"unique": 0, "affine-family": 0, "inconsistent": 0, "empty": 0}
+    for _ in range(10000):
+        n = rng.randint(0, 4)
+        # augmented rows [row | rhs]; rows in the span of a few generators make the
+        # system rank-deficient, and random rhs make it inconsistent
+        gens = [[Q(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n + 1)] for _ in range(rng.randint(1, n + 1))]
+        aug = []
+        for _ in range(rng.randint(0, n + 2)):
+            kind = rng.randrange(4)
+            if kind == 0:
+                cs = [rng.randint(-2, 2) for _ in gens]
+                row = [sum(c * g[j] for c, g in zip(cs, gens)) for j in range(n + 1)]
+            elif kind == 1 and aug:
+                row = [Q(rng.choice([-2, 1, 3]), rng.choice([1, 2])) * x for x in rng.choice(aug)]
+            elif kind == 2:
+                row = [Q(rng.randint(-4, 4), rng.choice([1, 3])) for _ in range(n + 1)]
+            else:
+                row = [rng.randint(-1, 1) for _ in range(n + 1)]
+            aug.append(row)
+        rows, rhs = [r[:-1] for r in aug], [r[-1] for r in aug]
+        expected = _solve_linear_reference(rows, rhs, n)
+        sol = solve_linear(rows, rhs, ncols=n)
+        assert (sol.kind, sol.particular, sol.kernel_basis) == expected
+        kinds[sol.kind] += 1
+        kinds["empty"] += not aug
+    assert min(kinds.values()) > 300, kinds
+
+
+def test_solve_linear_rejects_a_float_in_any_row():
+    for rows, rhs in [([[0.5, 0]], [1]), ([[1, 0]], [0.5])]:
+        with pytest.raises(TypeError):
+            solve_linear(rows, rhs)
+    # [1, 0 | 1], [0, 1 | 2] and [0, 0 | 3] reach full rank 3, after which the
+    # elimination reads no further row: a float in the next row is still refused
+    for last_row, last_rhs in [([0.5, 0], 0), ([1, 0], 0.5)]:
+        with pytest.raises(TypeError):
+            solve_linear([[1, 0], [0, 1], [0, 0], last_row], [1, 2, 3, last_rhs])
+
+
 def test_span_rank_examples():
     rank, picked = span_rank([vector([1, 0]), vector([2, 0]), vector([0, 1])])
     assert rank == 2 and picked == [0, 2]
@@ -246,13 +319,16 @@ def _on_line(s, p):
 
 def test_separator_set_equality_and_determinism():
     rng = random.Random(777)
-    for _ in range(40):
-        dim = rng.randint(1, 3)
+    dims = set()
+    for _ in range(200):
+        dim = rng.randint(1, 5)
         pts = [
-            vector([rng.randint(-2, 2) for _ in range(dim)])
-            for _ in range(rng.randint(1, 5))
+            vector([Q(rng.randint(-2, 2), rng.choice([1, 1, 2])) for _ in range(dim)])
+            for _ in range(rng.randint(1, 6))
         ]
         p = vector([rng.randint(-1, 1) for _ in range(dim)])
+        if rng.random() < 0.5:
+            pts.append(vscale(Q(rng.randint(-3, 3), 2), p))
         n1 = generic_separator(pts, p)
         assert generic_separator(pts, p) == n1
         if dim == 1 and not is_zero(p):
@@ -260,3 +336,5 @@ def test_separator_set_equality_and_determinism():
             continue
         for s in pts:
             assert (inner(s, n1) == 0) == _on_line(s, p)
+        dims.add(dim)
+    assert dims == {1, 2, 3, 4, 5}

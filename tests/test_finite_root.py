@@ -166,6 +166,20 @@ def test_positive_roots():
         assert positive_roots(rs) == (rplus, sep)
 
 
+def test_positive_roots_separator_is_the_closed_form_generic_separator():
+    from rootsphere.catalog import standard_finite
+    from rootsphere.exact import generic_separator
+
+    rng = random.Random(4096)
+    catalog = [standard_finite(name).roots for name in ("A1", "A3", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8")]
+    for rs in catalog + [RootSystem(len(r[0]), r) for r in _random_rational_root_sets(rng, 200)]:
+        assert generic_separator(rs.roots, zero_vector(rs.dim)) == positive_roots(rs).separator
+    # M = 2*max|coordinate| + 1 once the coordinates are scaled to integers
+    assert positive_roots(RootSystem(3, A2_ROOTS)).separator == (Q(9), Q(3), Q(1))
+    assert positive_roots(RootSystem(2, [vector(["1/2", "0"]), vector(["0", "-1"])])).separator == (Q(5), Q(1))
+    assert positive_roots(RootSystem(2, ())).separator == (Q(1), Q(1))
+
+
 def test_base_simple_roots():
     rplus, _ = positive_roots(RootSystem(3, A2_ROOTS))
     assert set(base(rplus)) == {A, B}
@@ -176,6 +190,12 @@ def test_base_simple_roots():
     for roots in _random_rational_root_sets(rng, 60):
         pos = positive_roots(RootSystem(len(roots[0]), roots)).rplus
         assert base(pos) == sorted(a for a in pos if not any(vadd(x, y) == a for x in pos for y in pos))
+    # and on sets that are no positive half: negatives, zero, repeats and parallel elements
+    for _ in range(200):
+        dim = rng.randint(1, 3)
+        pts = [tuple(Q(rng.randint(-2, 2), rng.choice([1, 2])) for _ in range(dim)) for _ in range(rng.randint(0, 6))]
+        pts += [tuple(rng.choice([Q(2), Q(-1), Q(1, 2)]) * c for c in v) for v in pts if rng.random() < 0.4]
+        assert base(pts) == sorted(a for a in pts if not any(vadd(x, y) == a for x in pts for y in pts))
 
 
 def test_weyl_vector():
