@@ -19,6 +19,7 @@ from .exact import (
     integer,
     is_zero,
     json_field,
+    json_items,
     norm_sq,
     rational,
     span_rank,
@@ -54,12 +55,8 @@ def affine_norm_sq(a: AffineVector) -> Fraction:
     return norm_sq(a.part)
 
 
-def full_inner(a: AffineVector, b: AffineVector) -> Fraction:
-    return a.level * b.level + inner(a.part, b.part)
-
-
 def grade(v: AffineVector, grading: AffineVector) -> Fraction:
-    return full_inner(v, grading)
+    return v.level * grading.level + inner(v.part, grading.part)
 
 
 def _graded(v: AffineVector, grading: AffineVector) -> tuple:
@@ -470,13 +467,13 @@ def explicit_spec_to_json(spec: ExplicitAffineSupport) -> dict:
 
 def explicit_spec_from_json(d: dict) -> ExplicitAffineSupport:
     dim = integer(json_field(d, "dim"))
-    items = []
-    for n, item in enumerate(json_field(d, "items")):
-        where = f"items[{n}]"
-        items.append((affine_vector_from_json(item, where), integer(json_field(item, "mult", where))))
+    items = tuple(
+        (affine_vector_from_json(item, where), integer(json_field(item, "mult", where)))
+        for where, item in json_items(d, "items")
+    )
     return ExplicitAffineSupport(
         dim=dim,
-        items=tuple(items),
+        items=items,
         grading=affine_vector_from_json(json_field(d, "grading"), "grading"),
         cutoff=rational(json_field(d, "cutoff")),
     )

@@ -1,7 +1,9 @@
 """JSON command-line front end for the library.
 
-The affine and catalog modules are imported by the commands that use them,
-so a command loads only what it runs.
+Each command maps its parsed arguments to one JSON object, which main
+writes once, to stdout or to --output.  Exit codes: 0 on success, 2 on an
+input or resource error (message on stderr), 3 on a verdict mismatch.
+Commands import the affine and catalog modules only when they use them.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .exact import integer, json_field, rational
+from .exact import json_field, rational, vneg
 from .finite_root import (
     DEFAULT_WEYL_BOUND,
     GroupTooLargeError,
@@ -25,7 +27,6 @@ from .finite_root import (
     root_system_from_json,
 )
 from .group_ring import (
-    SignedSupportMap,
     SupportMap,
     element_to_json,
     expand_product,
@@ -58,67 +59,62 @@ def _emit(data: dict, output: str | None) -> None:
 
 
 def _one_source(args) -> str:
-    given = [s for s in (getattr(args, "source", None), args.input) if s]
+    given = [s for s in (args.source, args.input) if s]
     if len(given) != 1:
         raise CliError("exactly one input source is required")
     return given[0]
 
 
-def _finite_map(src: str):
+def _finite_map(src: str) -> SupportMap:
+    """The support map of src; a file's multiplicities are summed per vector and may be negative."""
     if src.startswith("catalog:"):
         from .catalog import standard_finite
 
         entry = standard_finite(src[len("catalog:"):])
         return SupportMap(entry.ambient_dim, {a: 1 for a in entry.positive})
-    data = _load_json(src)
-    mults = (json_field(item, "mult", f"support[{i}]") for i, item in enumerate(data.get("support", ())))
-    return support_map_from_json(data, signed=any(integer(c) < 0 for c in mults))
+    return support_map_from_json(_load_json(src), signed=True)
 
 
 def _affine_spec(src: str, cutoff):
-    from .affine_root import affine_vector_from_json, explicit_spec_from_json
-
+    """The affine support of src; --cutoff overrides the cutoff a generated file carries."""
     if src.startswith("catalog-affine:"):
-        if cutoff is None:
-            raise CliError("--cutoff is required for affine input")
-        from .catalog import untwisted_affine
+        name, grading = src[len("catalog-affine:"):], None
+    else:
+        from .affine_root import affine_vector_from_json, explicit_spec_from_json
 
-        return untwisted_affine(src[len("catalog-affine:"):], cutoff)
-    data = _load_json(src)
-    if data.get("kind") == "generated":
-        c = cutoff if cutoff is not None else data.get("cutoff")
-        if c is None:
-            raise CliError("--cutoff is required for affine input")
-        from .catalog import untwisted_affine
-
+        data = _load_json(src)
+        if data.get("kind") != "generated":
+            return explicit_spec_from_json(data)
+        name = json_field(data, "name")
         grading = affine_vector_from_json(data["grading"], "grading") if "grading" in data else None
-        return untwisted_affine(json_field(data, "name"), c, grading)
-    return explicit_spec_from_json(data)
+        cutoff = cutoff if cutoff is not None else data.get("cutoff")
+    if cutoff is None:
+        raise CliError("--cutoff is required for affine input")
+    from .catalog import untwisted_affine
+
+    return untwisted_affine(name, cutoff, grading)
 
 
-def _cmd_expand(args) -> None:
+def _cmd_expand(args) -> dict:
     m = _finite_map(_one_source(args))
-    if isinstance(m, SignedSupportMap) and not any(v > 0 for v in m.entries.values()):
+    if m.entries and not any(v > 0 for v in m.entries.values()):
         raise CliError("a signed support needs at least one positive multiplicity")
-    _emit(element_to_json(expand_product(m)), args.output)
+    return element_to_json(expand_product(m))
 
 
-def _cmd_check(args) -> None:
+def _cmd_check(args) -> dict:
     src = _one_source(args)
     if args.mode == "affine":
         from .affine_root import affine_verdict_to_json, characterize_affine
 
-        verdict = characterize_affine(_affine_spec(src, args.cutoff))
-        _emit(affine_verdict_to_json(verdict), args.output)
-        return
+        return affine_verdict_to_json(characterize_affine(_affine_spec(src, args.cutoff)))
     m = _finite_map(src)
-    if isinstance(m, SignedSupportMap):
+    if any(v < 0 for v in m.entries.values()):
         raise CliError("finite check needs nonnegative multiplicities")
-    verdict = characterize_finite(m)
-    _emit(finite_verdict_to_json(verdict), args.output)
+    return finite_verdict_to_json(characterize_finite(m))
 
 
-def _cmd_classify(args) -> None:
+def _cmd_classify(args) -> dict:
     src = _one_source(args)
     if src.startswith("catalog:"):
         from .catalog import standard_finite
@@ -126,35 +122,29 @@ def _cmd_classify(args) -> None:
         rs = standard_finite(src[len("catalog:"):]).roots
     else:
         rs = root_system_from_json(_load_json(src))
-    _emit({"type": classify(rs)}, args.output)
+    return {"type": classify(rs)}
 
 
-def _cmd_denominator(args) -> None:
+def _cmd_denominator(args) -> dict:
     from .catalog import standard_finite
 
     entry = standard_finite(args.name)
     # group side first: its size gate must fire before any large expansion
     rhs = denominator_rhs(entry.positive, args.weyl_bound)
     lhs = expand_product(SupportMap(entry.ambient_dim, {a: 1 for a in entry.positive}))
-    _emit(
-        {
-            "name": entry.name,
-            "lhs_terms": len(lhs),
-            "rhs_terms": len(rhs),
-            "equal": lhs == rhs,
-            "weyl_order": len(rhs),
-        },
-        args.output,
-    )
+    return {
+        "name": entry.name,
+        "lhs_terms": len(lhs),
+        "rhs_terms": len(rhs),
+        "equal": lhs == rhs,
+        "weyl_order": len(rhs),
+    }
 
 
-def _cmd_macdonald(args) -> None:
+def _cmd_macdonald(args) -> dict:
     from .affine_root import affine_weyl_rhs, enumerate_support
-    from .catalog import untwisted_affine
 
-    if args.cutoff is None:
-        raise CliError("--cutoff is required for affine input")
-    spec = untwisted_affine(args.name, args.cutoff)
+    spec = _affine_spec("catalog-affine:" + args.name, args.cutoff)
     factors = [(av.flatten(), mult) for av, mult in enumerate_support(spec)]
     lhs = truncated_product(factors, spec.grading.flatten(), spec.cutoff)
     rhs = affine_weyl_rhs(spec, args.weyl_bound)
@@ -162,41 +152,30 @@ def _cmd_macdonald(args) -> None:
     for v in lhs.support():
         g = sum(c * n for c, n in zip(v, spec.grading.flatten()))
         per_grade[str(g)] = per_grade.get(str(g), 0) + 1
-    _emit(
-        {
-            "name": spec.name,
-            "cutoff": str(spec.cutoff),
-            "equal_up_to_C": lhs == rhs,
-            "term_count_per_grade": per_grade,
-        },
-        args.output,
-    )
+    return {
+        "name": spec.name,
+        "cutoff": str(spec.cutoff),
+        "equal_up_to_C": lhs == rhs,
+        "term_count_per_grade": per_grade,
+    }
 
 
-def _cmd_counterexample(args) -> None:
+def _cmd_counterexample(args) -> dict:
     from .catalog import remark29_exponents, remark210_counterexample, series_inversion_oracle
 
     if args.which == "remark29":
         exponents = remark29_exponents(args.kmax)
         oracle = series_inversion_oracle(args.kmax)
-        _emit(
-            {"exponents": exponents, "oracle": oracle, "agree": exponents == oracle},
-            args.output,
-        )
-        return
+        return {"exponents": exponents, "oracle": oracle, "agree": exponents == oracle}
     m, expansion, fit = remark210_counterexample()
-    doubled = sorted({v for v in m.entries} | {tuple(-c for c in v) for v in m.entries})
-    report = check_axioms(RootSystem(m.dim, tuple(doubled)))
-    _emit(
-        {
-            "support": support_map_to_json(m),
-            "expansion": element_to_json(expansion),
-            "fit": sphere_fit_to_json(fit),
-            "axioms": axiom_report_to_json(report),
-            "axioms_pass": report.all_pass(),
-        },
-        args.output,
-    )
+    report = check_axioms(RootSystem(m.dim, (*m.entries, *map(vneg, m.entries))))
+    return {
+        "support": support_map_to_json(m),
+        "expansion": element_to_json(expansion),
+        "fit": sphere_fit_to_json(fit),
+        "axioms": axiom_report_to_json(report),
+        "axioms_pass": report.all_pass(),
+    }
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -204,29 +183,27 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="rootsphere",
         description="Exact sphere and paraboloid tests for multiplicative support expansions.",
     )
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write JSON here instead of stdout")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("source", nargs="?", help="input file, catalog:NAME, or catalog-affine:NAME")
+    source.add_argument("--input", help="input file (alternative to the positional source)")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, source=True):
-        if source:
-            sp.add_argument("source", nargs="?", help="input file, catalog:NAME, or catalog-affine:NAME")
-            sp.add_argument("--input", help="input file (alternative to the positional source)")
-        sp.add_argument("--output", help="write JSON here instead of stdout")
+    def command(name, fn, summary, *parents):
+        sp = sub.add_parser(name, help=summary, parents=[*parents, output])
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("expand", help="expand a product over a support map")
-    common(sp)
-    sp.set_defaults(fn=_cmd_expand)
+    command("expand", _cmd_expand, "expand a product over a support map", source)
 
-    sp = sub.add_parser("check", help="sphere or paraboloid characterization")
-    common(sp)
+    sp = command("check", _cmd_check, "sphere or paraboloid characterization", source)
     sp.add_argument("--mode", choices=("finite", "affine"), default="finite")
     sp.add_argument("--cutoff", type=rational, default=None)
-    sp.set_defaults(fn=_cmd_check)
 
-    sp = sub.add_parser("classify", help="name the isomorphism type of a root system")
-    common(sp)
-    sp.set_defaults(fn=_cmd_classify)
+    command("classify", _cmd_classify, "name the isomorphism type of a root system", source)
 
-    sp = sub.add_parser("denominator", help="compare both sides of the product identity")
+    sp = command("denominator", _cmd_denominator, "compare both sides of the product identity")
     sp.add_argument("name", help="catalog name, e.g. A2")
     sp.add_argument(
         "--weyl-bound",
@@ -235,10 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fail with 'group too large' when the classified group order (checked before the walk) "
         "or the number of group elements walked passes this",
     )
-    sp.add_argument("--output")
-    sp.set_defaults(fn=_cmd_denominator)
 
-    sp = sub.add_parser("macdonald", help="compare the truncated affine identity")
+    sp = command("macdonald", _cmd_macdonald, "compare the truncated affine identity")
     sp.add_argument("name", help="catalog name, e.g. A1")
     sp.add_argument("--cutoff", type=rational, default=None)
     sp.add_argument(
@@ -247,14 +222,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_WEYL_BOUND,
         help="fail with 'group too large' once more group elements than this have grade <= cutoff",
     )
-    sp.add_argument("--output")
-    sp.set_defaults(fn=_cmd_macdonald)
 
-    sp = sub.add_parser("counterexample", help="built-in boundary examples")
+    sp = command("counterexample", _cmd_counterexample, "built-in boundary examples")
     sp.add_argument("which", choices=("remark29", "remark210"))
     sp.add_argument("--kmax", type=int, default=6)
-    sp.add_argument("--output")
-    sp.set_defaults(fn=_cmd_counterexample)
 
     return p
 
@@ -262,14 +233,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        args.fn(args)
+        _emit(args.fn(args), args.output)
     except VerdictMismatchError as exc:
         print(f"internal verdict disagreement: {exc}", file=sys.stderr)
         return 3
-    except GroupTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError, TypeError, KeyError, OSError) as exc:
+    except (GroupTooLargeError, ValueError, ArithmeticError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -49,7 +49,22 @@ def json_field(d, name: str, where: str = "input"):
     return d[name]
 
 
+def json_items(d, name: str, where: str = "input") -> list[tuple[str, object]]:
+    """(place, entry) pairs of the list field name of the JSON object d; place reads like "support[0]".
+
+    Besides json_field's errors, ValueError reads '<where>: field "<name>"
+    must be a list' when the field is not a list.
+    """
+    items = json_field(d, name, where)
+    if not isinstance(items, list):
+        raise ValueError(f'{where}: field "{name}" must be a list')
+    return [(f"{name}[{i}]", item) for i, item in enumerate(items)]
+
+
 def vector(coords: Iterable) -> Vector:
+    """The coordinates as a tuple of Fractions; a string, though iterable, raises TypeError."""
+    if isinstance(coords, str):
+        raise TypeError(f"expected a list of coordinates, not the string {coords!r}")
     return tuple(rational(c) for c in coords)
 
 

@@ -18,6 +18,7 @@ from .exact import (
     inner,
     integer,
     json_field,
+    json_items,
     norm_sq,
     span_rank,
     vadd,
@@ -102,7 +103,6 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
     bt = list(zip(*b))
     return tuple(tuple(inner(row, col) for col in bt) for row in a)
 
@@ -614,7 +614,7 @@ def root_system_to_json(rs: RootSystem) -> dict:
 
 
 def root_system_from_json(d: dict) -> RootSystem:
-    return RootSystem(integer(json_field(d, "dim")), tuple(vector(r) for r in json_field(d, "roots")))
+    return RootSystem(integer(json_field(d, "dim")), tuple(vector(r) for _, r in json_items(d, "roots")))
 
 
 def axiom_report_to_json(rep: AxiomReport) -> dict:

@@ -7,7 +7,19 @@ from heapq import heappop, heappush
 from math import comb, floor, gcd, lcm
 from typing import Iterable
 
-from .exact import Vector, _common_denominator, _Value, _int_key, integer, json_field, rational, vector, vneg, zero_vector
+from .exact import (
+    Vector,
+    _common_denominator,
+    _Value,
+    _int_key,
+    integer,
+    json_field,
+    json_items,
+    rational,
+    vector,
+    vneg,
+    zero_vector,
+)
 
 # Resource limits: quotient terms of an exact division, and accumulator terms
 # of a product expansion (E6's peak is ~170 k terms, E7's result 2 903 040).
@@ -442,6 +454,5 @@ def support_map_from_json(d: dict, signed: bool = False) -> SupportMap:
 
 def _json_pairs(d: dict, name: str, coeff: str):
     """(v, coefficient) of each object in the list d[name], the coefficient under key coeff."""
-    for i, item in enumerate(json_field(d, name)):
-        where = f"{name}[{i}]"
+    for where, item in json_items(d, name):
         yield json_field(item, "v", where), json_field(item, coeff, where)

@@ -11,12 +11,9 @@ from .exact import (
     Vector,
     _common_denominator,
     _int_key,
-    norm_sq,
     solve_linear,
     span_rank,
     vector,
-    vscale,
-    vsub,
 )
 
 
@@ -115,8 +112,11 @@ def _fit_paraboloid_keys(keys: list, den: int) -> ParaboloidFit | None:
     """fit_paraboloid of the points k/den, for distinct flattened integer keys k.
 
     Rows are scaled to integers by den^2 first, which changes neither the
-    solution set nor the pinned witness.  The witness is then verified
-    exactly on every point.
+    solution set nor the pinned witness.  With m the common denominator of
+    the solution (r, d), R = m*r and D = m*d are integers, part_c = D/R and
+    level_c = a/b, and point k lies on the paraboloid exactly when
+    b*m*R*den*level(k) - m*R*den^2*a = b*|R*part(k) - den*D|^2.  The
+    witness is verified so, in integers, on every point.
     """
     if not keys:
         raise ValueError("no points")
@@ -139,16 +139,19 @@ def _fit_paraboloid_keys(keys: list, den: int) -> ParaboloidFit | None:
             return None
         t = (1 - x[0]) / k[0]
         x = [xi + t * ki for xi, ki in zip(x, k)]
-    r = x[0]
-    part_c = vscale(1 / r, tuple(x[1:]))
-    level_c = Q(l0, den) - r * norm_sq(vsub(tuple(Q(y, den) for y in q0), part_c))
+    m = _common_denominator([x])
+    R, *D = _int_key(x, m)
 
-    # point k/den, times den^2: den*level(k) - den^2*level_c = r*|part(k) - den*part_c|^2
-    lc, pc = level_c * den * den, [y * den for y in part_c]
+    def off(q) -> int:
+        return sum((R * y - den * z) ** 2 for y, z in zip(q, D))
+
+    mr = m * R
+    level_c = Q(mr * den * l0 - off(q0), mr * den * den)
+    a, b = level_c.numerator, level_c.denominator
     for k in keys:
-        if k[0] * den - lc != r * sum((x - y) ** 2 for x, y in zip(k[1:], pc)):
+        if b * mr * den * k[0] - mr * den * den * a != b * off(k[1:]):
             raise ArithmeticError("paraboloid fit failed exact verification")
-    return ParaboloidFit(AffineVector(level_c, part_c), r)
+    return ParaboloidFit(AffineVector(level_c, tuple(Q(z, R) for z in D)), x[0])
 
 
 def sphere_fit_to_json(fit: SphereFit | None) -> dict | None:

@@ -97,6 +97,17 @@ def test_check_rejects_signed(tmp_path, capsys):
     assert "nonnegative multiplicities" in err
 
 
+def test_check_reads_the_sign_of_the_summed_multiplicities(tmp_path, capsys):
+    # the two entries at (1, 0) cancel, so the map is {(0, 1): 1}: nonnegative
+    cancelling = [{"v": ["1", "0"], "mult": 1}, {"v": ["1", "0"], "mult": -1}, {"v": ["0", "1"], "mult": 1}]
+    src = write_json(tmp_path, "cancel.json", {"dim": 2, "support": cancelling})
+    summed = write_json(tmp_path, "summed.json", {"dim": 2, "support": [{"v": ["0", "1"], "mult": 1}]})
+    code, out, err = run(capsys, "check", src)
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "check", summed)[1]
+    assert json.loads(out)["on_sphere"] is True
+
+
 def test_check_catalog_a2(capsys):
     code, out, _ = run(capsys, "check", "catalog:A2")
     assert code == 0
@@ -266,12 +277,23 @@ def test_counterexample_remark210(capsys):
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):
-    _, out, _ = run(capsys, "expand", "catalog:A2")
-    dest = tmp_path / "out.json"
-    code, out2, _ = run(capsys, "expand", "catalog:A2", "--output", str(dest))
-    assert code == 0
-    assert out2 == ""
-    assert dest.read_text(encoding="utf-8") == out
+    jobs = [
+        ("expand", "catalog:A2"),
+        ("check", "catalog:A2"),
+        ("check", "catalog-affine:A1", "--mode", "affine", "--cutoff", "4"),
+        ("classify", "catalog:B2"),
+        ("denominator", "A2"),
+        ("macdonald", "A1", "--cutoff", "4"),
+        ("counterexample", "remark29"),
+        ("counterexample", "remark210"),
+    ]
+    assert {argv[0] for argv in jobs} == {"expand", "check", "classify", "denominator", "macdonald", "counterexample"}
+    for i, argv in enumerate(jobs):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        dest = tmp_path / f"out{i}.json"
+        assert run(capsys, *argv, "--output", str(dest)) == (0, "", ""), argv
+        assert dest.read_text(encoding="utf-8") == out, argv
 
 
 def test_source_required(capsys):
@@ -328,6 +350,19 @@ def test_missing_json_fields_are_named_with_their_place(tmp_path, capsys):
             ("check", "--mode", "affine"),
             {"dim": 1, "items": [], "grading": {"v": ["0"]}, "cutoff": "2"},
             'grading: missing field "level"',
+        ),
+        (
+            ("expand",),
+            {"dim": 2, "support": [{"v": "12", "mult": 1}]},
+            "expected a list of coordinates, not the string '12'",
+        ),
+        (("expand",), {"dim": 2, "support": 5}, 'input: field "support" must be a list'),
+        (("classify",), {"dim": 2, "roots": "ab"}, 'input: field "roots" must be a list'),
+        (("classify",), {"dim": 1, "roots": ["1"]}, "expected a list of coordinates, not the string '1'"),
+        (
+            ("check", "--mode", "affine"),
+            {"dim": 1, "items": {}, "grading": {"level": "1", "v": ["0"]}, "cutoff": "2"},
+            'input: field "items" must be a list',
         ),
     ]
     for argv, data, message in cases:

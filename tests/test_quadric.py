@@ -197,7 +197,9 @@ def _sphere_reference(points):
 
 
 def _paraboloid_reference(points):
-    # every differenced equation in one Gauss-Jordan solve; returns (fit, pinned)
+    # every differenced equation in one Gauss-Jordan solve, and the witness by
+    # the Fraction formula part_c = d/r, level_c = level(p0) - r*|part(p0) - part_c|^2
+    # that the fit's integer formula replaced; returns (fit, pinned)
     pts = list(dict.fromkeys(points))
     p0 = pts[0]
     rows = [[norm_sq(p.part) - norm_sq(p0.part)] + [-2 * x for x in vsub(p.part, p0.part)] for p in pts[1:]]
@@ -271,23 +273,37 @@ def test_fit_sphere_matches_all_rows_reference():
 
 def test_fit_paraboloid_matches_all_rows_reference():
     rng = random.Random(271828)
-    seen = {"fit": 0, "none": 0, "pinned": 0}
-    for _ in range(400):
+    seen = {"fit": 0, "none": 0, "pinned": 0, "free r": 0}
+    for _ in range(500):
         n = rng.randint(1, 5)
         den = rng.randint(1, 3)
         r = Q(rng.choice([1, 1, 2, 3, -1]), rng.randint(1, 3))
         c = affine(Q(rng.randint(-3, 3), den), [Q(rng.randint(-3, 3), den) for _ in range(n)])
-        # parts in the span of a few directions, so the hull may be lower-dimensional
-        dirs = [vector([rng.randint(-2, 2) for _ in range(n)]) for _ in range(rng.randint(1, n))]
-        pts = []
-        for _ in range(rng.randint(1, n + 4)):
-            part = c.part
-            for d in dirs:
-                part = vadd(part, vscale(Q(rng.randint(-2, 2), den), d))
-            pts.append(affine(c.level + r * norm_sq(vsub(part, c.part)), part))
+        if rng.random() < 0.25:
+            # signed permutations of v about c.part = 0 share one norm and one level: r is free
+            c = affine(c.level, [0] * n)
+            v = [Q(rng.randint(0, 3), den) for _ in range(n)]
+            parts = [vector([x * rng.choice([-1, 1]) for x in rng.sample(v, n)]) for _ in range(rng.randint(2, 2 * n))]
+        else:
+            # parts in the span of a few directions, so the hull may be lower-dimensional
+            dirs = [vector([rng.randint(-2, 2) for _ in range(n)]) for _ in range(rng.randint(1, n))]
+            parts = []
+            for _ in range(rng.randint(1, n + 4)):
+                part = c.part
+                for d in dirs:
+                    part = vadd(part, vscale(Q(rng.randint(-2, 2), den), d))
+                parts.append(part)
+        pts = [affine(c.level + r * norm_sq(vsub(part, c.part)), part) for part in parts]
         pts = _perturbed(rng, pts, lambda p: affine(p.level + Q(1, den), p.part))
         expected, pinned = _paraboloid_reference(pts)
         assert fit_paraboloid(pts) == expected
         seen["none" if expected is None else "fit"] += 1
         seen["pinned"] += pinned
+        if expected is not None:
+            assert all(_on_paraboloid(expected, p) for p in pts)
+            if len(set(pts)) > 1 and len({norm_sq(p.part) for p in pts}) == 1:
+                # every row's r column is 0, so the free r is pinned to 1
+                assert expected.r == 1
+                seen["free r"] += 1
     assert min(seen.values()) > 20, seen
+
