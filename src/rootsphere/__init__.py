@@ -22,7 +22,7 @@ _EXPORTS = {
     "FiniteVerdict": "finite_root",
     "GeneratedAffineSupport": "affine_root",
     "GroupRingElement": "group_ring",
-    "GroupTooLargeError": "finite_root",
+    "GroupTooLargeError": "exact",
     "NotDivisibleError": "group_ring",
     "ParaboloidFit": "quadric",
     "PositiveSystem": "finite_root",
@@ -31,7 +31,7 @@ _EXPORTS = {
     "SignedSupportMap": "group_ring",
     "SphereFit": "quadric",
     "SupportMap": "group_ring",
-    "VerdictMismatchError": "finite_root",
+    "VerdictMismatchError": "exact",
     "affine": "exact",
     "affine_reflect_point": "affine_root",
     "affine_reflect_vec": "affine_root",

@@ -11,6 +11,7 @@ from .exact import (
     AffineVector,
     Q,
     Vector,
+    VerdictMismatchError,
     _Value,
     _common_denominator,
     _int_key,
@@ -20,6 +21,7 @@ from .exact import (
     is_zero,
     json_field,
     json_items,
+    json_vector,
     norm_sq,
     rational,
     span_rank,
@@ -34,7 +36,6 @@ from .finite_root import (
     DEFAULT_WEYL_BOUND,
     Matrix,
     RootSystem,
-    VerdictMismatchError,
     _components,
     _lex_positive,
     _only_opposite_parallels,
@@ -452,7 +453,7 @@ def affine_vector_to_json(a: AffineVector) -> dict:
 
 
 def affine_vector_from_json(d: dict, where: str = "input") -> AffineVector:
-    return affine(json_field(d, "level", where), json_field(d, "v", where))
+    return affine(json_field(d, "level", where), json_vector(json_field(d, "v", where), where))
 
 
 def explicit_spec_to_json(spec: ExplicitAffineSupport) -> dict:

@@ -3,45 +3,32 @@
 Each command maps its parsed arguments to one JSON object, which main
 writes once, to stdout or to --output.  Exit codes: 0 on success, 2 on an
 input or resource error (message on stderr), 3 on a verdict mismatch.
-Commands import the affine and catalog modules only when they use them.
+Nothing of the library loads before the arguments are parsed: this module
+imports only argparse and sys, and each command imports the modules it
+runs, so --help loads no library module and expand of a file loads only
+exact and group_ring.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-
-from .exact import json_field, rational, vneg
-from .finite_root import (
-    DEFAULT_WEYL_BOUND,
-    GroupTooLargeError,
-    RootSystem,
-    VerdictMismatchError,
-    axiom_report_to_json,
-    check_axioms,
-    characterize_finite,
-    classify,
-    denominator_rhs,
-    finite_verdict_to_json,
-    root_system_from_json,
-)
-from .group_ring import (
-    SupportMap,
-    element_to_json,
-    expand_product,
-    support_map_from_json,
-    support_map_to_json,
-    truncated_product,
-)
-from .quadric import sphere_fit_to_json
 
 
 class CliError(ValueError):
     pass
 
 
+def rational(text: str):
+    """--cutoff as a Fraction; argparse names this function in its error for a bad value."""
+    from . import exact
+
+    return exact.rational(text)
+
+
 def _load_json(path: str) -> dict:
+    import json
+
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -50,6 +37,8 @@ def _load_json(path: str) -> dict:
 
 
 def _emit(data: dict, output: str | None) -> None:
+    import json
+
     text = json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     if output is None:
         sys.stdout.write(text)
@@ -65,8 +54,10 @@ def _one_source(args) -> str:
     return given[0]
 
 
-def _finite_map(src: str) -> SupportMap:
+def _finite_map(src: str):
     """The support map of src; a file's multiplicities are summed per vector and may be negative."""
+    from .group_ring import SupportMap, support_map_from_json
+
     if src.startswith("catalog:"):
         from .catalog import standard_finite
 
@@ -81,6 +72,7 @@ def _affine_spec(src: str, cutoff):
         name, grading = src[len("catalog-affine:"):], None
     else:
         from .affine_root import affine_vector_from_json, explicit_spec_from_json
+        from .exact import json_field
 
         data = _load_json(src)
         if data.get("kind") != "generated":
@@ -95,7 +87,16 @@ def _affine_spec(src: str, cutoff):
     return untwisted_affine(name, cutoff, grading)
 
 
+def _weyl_bound(args) -> int:
+    """--weyl-bound, or the library's DEFAULT_WEYL_BOUND when it is not given."""
+    from .finite_root import DEFAULT_WEYL_BOUND
+
+    return DEFAULT_WEYL_BOUND if args.weyl_bound is None else args.weyl_bound
+
+
 def _cmd_expand(args) -> dict:
+    from .group_ring import element_to_json, expand_product
+
     m = _finite_map(_one_source(args))
     if m.entries and not any(v > 0 for v in m.entries.values()):
         raise CliError("a signed support needs at least one positive multiplicity")
@@ -108,6 +109,8 @@ def _cmd_check(args) -> dict:
         from .affine_root import affine_verdict_to_json, characterize_affine
 
         return affine_verdict_to_json(characterize_affine(_affine_spec(src, args.cutoff)))
+    from .finite_root import characterize_finite, finite_verdict_to_json
+
     m = _finite_map(src)
     if any(v < 0 for v in m.entries.values()):
         raise CliError("finite check needs nonnegative multiplicities")
@@ -115,6 +118,8 @@ def _cmd_check(args) -> dict:
 
 
 def _cmd_classify(args) -> dict:
+    from .finite_root import classify, root_system_from_json
+
     src = _one_source(args)
     if src.startswith("catalog:"):
         from .catalog import standard_finite
@@ -127,10 +132,12 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_denominator(args) -> dict:
     from .catalog import standard_finite
+    from .finite_root import denominator_rhs
+    from .group_ring import SupportMap, expand_product
 
     entry = standard_finite(args.name)
     # group side first: its size gate must fire before any large expansion
-    rhs = denominator_rhs(entry.positive, args.weyl_bound)
+    rhs = denominator_rhs(entry.positive, _weyl_bound(args))
     lhs = expand_product(SupportMap(entry.ambient_dim, {a: 1 for a in entry.positive}))
     return {
         "name": entry.name,
@@ -143,11 +150,12 @@ def _cmd_denominator(args) -> dict:
 
 def _cmd_macdonald(args) -> dict:
     from .affine_root import affine_weyl_rhs, enumerate_support
+    from .group_ring import truncated_product
 
     spec = _affine_spec("catalog-affine:" + args.name, args.cutoff)
     factors = [(av.flatten(), mult) for av, mult in enumerate_support(spec)]
     lhs = truncated_product(factors, spec.grading.flatten(), spec.cutoff)
-    rhs = affine_weyl_rhs(spec, args.weyl_bound)
+    rhs = affine_weyl_rhs(spec, _weyl_bound(args))
     per_grade: dict[str, int] = {}
     for v in lhs.support():
         g = sum(c * n for c, n in zip(v, spec.grading.flatten()))
@@ -167,6 +175,11 @@ def _cmd_counterexample(args) -> dict:
         exponents = remark29_exponents(args.kmax)
         oracle = series_inversion_oracle(args.kmax)
         return {"exponents": exponents, "oracle": oracle, "agree": exponents == oracle}
+    from .exact import vneg
+    from .finite_root import RootSystem, axiom_report_to_json, check_axioms
+    from .group_ring import element_to_json, support_map_to_json
+    from .quadric import sphere_fit_to_json
+
     m, expansion, fit = remark210_counterexample()
     report = check_axioms(RootSystem(m.dim, (*m.entries, *map(vneg, m.entries))))
     return {
@@ -208,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--weyl-bound",
         type=int,
-        default=DEFAULT_WEYL_BOUND,
+        default=None,
         help="fail with 'group too large' when the classified group order (checked before the walk) "
         "or the number of group elements walked passes this",
     )
@@ -219,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--weyl-bound",
         type=int,
-        default=DEFAULT_WEYL_BOUND,
+        default=None,
         help="fail with 'group too large' once more group elements than this have grade <= cutoff",
     )
 
@@ -232,6 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    from .exact import GroupTooLargeError, VerdictMismatchError
+
     try:
         _emit(args.fn(args), args.output)
     except VerdictMismatchError as exc:

@@ -11,6 +11,16 @@ Q = Fraction
 Vector = tuple[Fraction, ...]
 
 
+# raised by finite_root and affine_root; defined here so that cli.main can catch them
+# without loading either
+class GroupTooLargeError(RuntimeError):
+    pass
+
+
+class VerdictMismatchError(RuntimeError):
+    """The geometric and axiomatic routes disagreed; this is a fatal internal error."""
+
+
 def rational(x) -> Fraction:
     """Coerce ints, strings like "3/5" or "-2", and Fractions to Fraction."""
     if isinstance(x, Fraction):
@@ -66,6 +76,14 @@ def vector(coords: Iterable) -> Vector:
     if isinstance(coords, str):
         raise TypeError(f"expected a list of coordinates, not the string {coords!r}")
     return tuple(rational(c) for c in coords)
+
+
+def json_vector(coords, where: str) -> Vector:
+    """vector(coords) for coordinates read from JSON at place where; a TypeError names the place."""
+    try:
+        return vector(coords)
+    except TypeError as exc:
+        raise TypeError(f"{where}: {exc}") from None
 
 
 def zero_vector(dim: int) -> Vector:

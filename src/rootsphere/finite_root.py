@@ -9,8 +9,10 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from .exact import (
+    GroupTooLargeError,
     Q,
     Vector,
+    VerdictMismatchError,
     _Value,
     _common_denominator,
     _int_key,
@@ -19,6 +21,7 @@ from .exact import (
     integer,
     json_field,
     json_items,
+    json_vector,
     norm_sq,
     span_rank,
     vadd,
@@ -30,14 +33,6 @@ from .exact import (
 )
 from .group_ring import GroupRingElement, SupportMap, expand_product
 from .quadric import SphereFit, _fit_sphere_keys, sphere_fit_to_json
-
-
-class GroupTooLargeError(RuntimeError):
-    pass
-
-
-class VerdictMismatchError(RuntimeError):
-    """The geometric and axiomatic routes disagreed; this is a fatal internal error."""
 
 
 class RootSystem(_Value):
@@ -614,7 +609,8 @@ def root_system_to_json(rs: RootSystem) -> dict:
 
 
 def root_system_from_json(d: dict) -> RootSystem:
-    return RootSystem(integer(json_field(d, "dim")), tuple(vector(r) for _, r in json_items(d, "roots")))
+    dim = integer(json_field(d, "dim"))
+    return RootSystem(dim, tuple(json_vector(r, where) for where, r in json_items(d, "roots")))
 
 
 def axiom_report_to_json(rep: AxiomReport) -> dict:

@@ -15,6 +15,7 @@ from .exact import (
     integer,
     json_field,
     json_items,
+    json_vector,
     rational,
     vector,
     vneg,
@@ -455,4 +456,4 @@ def support_map_from_json(d: dict, signed: bool = False) -> SupportMap:
 def _json_pairs(d: dict, name: str, coeff: str):
     """(v, coefficient) of each object in the list d[name], the coefficient under key coeff."""
     for where, item in json_items(d, name):
-        yield json_field(item, "v", where), json_field(item, coeff, where)
+        yield json_vector(json_field(item, "v", where), where), json_field(item, coeff, where)

@@ -10,7 +10,6 @@ import time
 import pytest
 
 import rootsphere
-import rootsphere.cli as cli_mod
 from rootsphere.affine_root import (
     ExplicitAffineSupport,
     GeneratedAffineSupport,
@@ -354,15 +353,40 @@ def test_missing_json_fields_are_named_with_their_place(tmp_path, capsys):
         (
             ("expand",),
             {"dim": 2, "support": [{"v": "12", "mult": 1}]},
-            "expected a list of coordinates, not the string '12'",
+            "support[0]: expected a list of coordinates, not the string '12'",
         ),
         (("expand",), {"dim": 2, "support": 5}, 'input: field "support" must be a list'),
         (("classify",), {"dim": 2, "roots": "ab"}, 'input: field "roots" must be a list'),
-        (("classify",), {"dim": 1, "roots": ["1"]}, "expected a list of coordinates, not the string '1'"),
+        (("classify",), {"dim": 1, "roots": ["1"]}, "roots[0]: expected a list of coordinates, not the string '1'"),
         (
             ("check", "--mode", "affine"),
             {"dim": 1, "items": {}, "grading": {"level": "1", "v": ["0"]}, "cutoff": "2"},
             'input: field "items" must be a list',
+        ),
+        (
+            ("expand",),
+            {"dim": 1, "support": [{"v": ["1"], "mult": 1}, {"v": [1.5], "mult": 1}]},
+            "support[1]: floating point is not allowed; use Fraction or str",
+        ),
+        (
+            ("check", "--mode", "affine"),
+            {
+                "dim": 1,
+                "items": [{"level": "1", "v": "1", "mult": 1}],
+                "grading": {"level": "1", "v": ["0"]},
+                "cutoff": "2",
+            },
+            "items[0]: expected a list of coordinates, not the string '1'",
+        ),
+        (
+            ("check", "--mode", "affine"),
+            {"dim": 1, "items": [], "grading": {"level": "1", "v": "0"}, "cutoff": "2"},
+            "grading: expected a list of coordinates, not the string '0'",
+        ),
+        (
+            ("check", "--mode", "affine"),
+            {"kind": "generated", "name": "A1", "grading": {"level": "1", "v": "0"}, "cutoff": "2"},
+            "grading: expected a list of coordinates, not the string '0'",
         ),
     ]
     for argv, data, message in cases:
@@ -385,18 +409,47 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert out.strip() == "[]"
 
 
-def test_finite_commands_load_no_affine_or_catalog_module(tmp_path):
+def test_each_command_loads_only_its_modules(tmp_path):
     m = write_json(tmp_path, "m.json", support_map_to_json(SupportMap(2, {(Q(1), Q(0)): 1, (Q(0), Q(1)): 1})))
     rs = write_json(tmp_path, "rs.json", root_system_to_json(RootSystem(1, ((Q(1),), (Q(-1),)))))
-    jobs = [["check", m], ["classify", rs], ["expand", m]]
-    jobs = [argv + ["--output", str(tmp_path / f"out{i}.json")] for i, argv in enumerate(jobs)]
-    out = _fresh_python(
-        "import sys\n"
-        "from rootsphere.cli import main\n"
-        f"codes = [main(argv) for argv in {jobs!r}]\n"
-        "print(codes, sorted(n for n in ('rootsphere.affine_root', 'rootsphere.catalog') if n in sys.modules))"
-    )
-    assert out.strip() == "[0, 0, 0] []"
+    out = str(tmp_path / "out.json")
+    parsing = {"rootsphere", "rootsphere.cli"}
+    expanding = parsing | {"rootsphere.exact", "rootsphere.group_ring"}
+    finite = expanding | {"rootsphere.quadric", "rootsphere.finite_root"}
+    cases = [
+        (["--help"], 0, parsing),
+        (["no-such-command"], 2, parsing),
+        (["expand", m, "--output", out], 0, expanding),
+        (["check", m, "--output", out], 0, finite),
+        (["classify", rs, "--output", out], 0, finite),
+    ]
+    for argv, code, modules in cases:
+        last = _fresh_python(
+            "import sys\n"
+            "from rootsphere.cli import main\n"
+            "try:\n"
+            f"    code = main({argv!r})\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(code, *sorted(n for n in sys.modules if n.split('.')[0] == 'rootsphere'))\n"
+            "print('json' in sys.modules, 'fractions' in sys.modules)"
+        ).splitlines()[-2:]
+        assert last[0].split() == [str(code), *sorted(modules)], argv
+        if modules == parsing:
+            assert last[1] == "False False", argv
+
+
+def test_cutoff_type_error_and_the_library_weyl_bound(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "catalog-affine:A1", "--mode", "affine", "--cutoff", "x"])
+    assert exc.value.code == 2
+    assert "invalid rational value: 'x'" in capsys.readouterr().err
+    # without --weyl-bound the CLI reads the library's one default when the command runs
+    monkeypatch.setattr("rootsphere.finite_root.DEFAULT_WEYL_BOUND", 5)
+    for argv in (["denominator", "A3"], ["macdonald", "A2", "--cutoff", "6"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "group too large" in err, argv
+
 
 
 def test_every_public_name_resolves_and_star_import_binds_them_all():
@@ -487,7 +540,7 @@ def test_verdict_mismatch_exit_code(capsys, monkeypatch):
     def boom(_):
         raise VerdictMismatchError("routes disagree")
 
-    monkeypatch.setattr(cli_mod, "characterize_finite", boom)
+    monkeypatch.setattr("rootsphere.finite_root.characterize_finite", boom)
     code, _, err = run(capsys, "check", "catalog:A2")
     assert code == 3
     assert "internal verdict disagreement" in err
