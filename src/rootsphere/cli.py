@@ -5,8 +5,8 @@ writes once, to stdout or to --output.  Exit codes: 0 on success, 2 on an
 input or resource error (message on stderr), 3 on a verdict mismatch.
 Nothing of the library loads before the arguments are parsed: this module
 imports only argparse and sys, and each command imports the modules it
-runs, so --help loads no library module and expand of a file loads only
-exact and group_ring.
+runs, so --help loads no library module, expand of a file loads only
+exact and group_ring, and classify of a file only exact and finite_root.
 """
 
 from __future__ import annotations
@@ -214,7 +214,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("finite", "affine"), default="finite")
     sp.add_argument("--cutoff", type=rational, default=None)
 
-    command("classify", _cmd_classify, "name the isomorphism type of a root system", source)
+    command(
+        "classify",
+        _cmd_classify,
+        "name the isomorphism type of a root system; a set that is not one exits 2",
+        source,
+    )
 
     sp = command("denominator", _cmd_denominator, "compare both sides of the product identity")
     sp.add_argument("name", help="catalog name, e.g. A2")

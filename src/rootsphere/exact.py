@@ -138,7 +138,8 @@ def _common_denominator(vectors: Iterable[Vector]) -> int:
 
 
 def _int_key(v: Vector, scale: int) -> tuple[int, ...]:
-    return tuple(int(c * scale) for c in v)
+    """v times scale, which must be a multiple of every denominator of v, as _common_denominator's is."""
+    return tuple(c.numerator * (scale // c.denominator) for c in v)
 
 
 class _Value:

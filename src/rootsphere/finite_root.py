@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, prod
 from operator import mul, sub
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import (
     GroupTooLargeError,
@@ -31,8 +31,10 @@ from .exact import (
     vsub,
     zero_vector,
 )
-from .group_ring import GroupRingElement, SupportMap, expand_product
-from .quadric import SphereFit, _fit_sphere_keys, sphere_fit_to_json
+
+if TYPE_CHECKING:
+    from .group_ring import GroupRingElement, SupportMap
+    from .quadric import SphereFit
 
 
 class RootSystem(_Value):
@@ -295,13 +297,14 @@ def _component_order(letter: str, rank: int) -> int:
 def weyl_order(roots) -> int:
     """Order of the Weyl group of a root system given as a sequence of its roots.
 
-    Computed from the classification, without enumerating the group.
+    Computed from the classification, without enumerating the group.  A
+    set that is not a root system raises ValueError, as in classify.
     """
     roots = [vector(r) for r in roots]
     if not roots:
         raise ValueError("empty root set")
     rs = RootSystem(len(roots[0]), tuple(roots))
-    return _order_of_components(_classify_components(base(_lex_positive(rs.roots))))
+    return _order_of_components(_checked_components(rs.roots))
 
 
 def _order_of_components(components) -> int:
@@ -419,6 +422,8 @@ def denominator_rhs(rplus, bound: int = DEFAULT_WEYL_BOUND) -> GroupRingElement:
     It is summed as sum_w det(w) e^{rho - w^-1(rho)}, the same sum, since
     w -> w^-1 permutes the group and keeps det.
     """
+    from .group_ring import GroupRingElement
+
     pos = [vector(a) for a in rplus]
     if not pos:
         raise ValueError("empty positive system")
@@ -427,66 +432,6 @@ def denominator_rhs(rplus, bound: int = DEFAULT_WEYL_BOUND) -> GroupRingElement:
 
 
 # -- classification ----------------------------------------------------------------
-
-
-def _dynkin_type(c) -> tuple[str, int]:
-    """(letter, rank) of a connected integer Cartan matrix, read off its Dynkin diagram.
-
-    The diagram must be a tree, and each bond must have one entry -1 and the
-    other -1, -2 or -3 (a single, double or triple bond).  A path of single
-    bonds is A_n; one triple bond is G2; one double bond is B2, F4 in the
-    middle of a path of 4, and otherwise ends a path: B_n when its leaf root
-    is short (c[stem][leaf] == -2), C_n when it is long.  One node with arms
-    of (1, 1, k) nodes is D_n, with arms of (1, 2, 2|3|4) nodes E6, E7 or E8.
-    Anything else raises ValueError("unrecognized").
-    """
-    n = len(c)
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    multiple = []
-    for i, j in combinations(range(n), 2):
-        p, q = c[i][j], c[j][i]
-        if p or q:
-            if max(p, q) != -1 or p * q > 3:
-                raise ValueError("unrecognized")
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-            if p * q > 1:
-                multiple.append((i, j))
-    if sum(map(len, nbrs)) != 2 * (n - 1) or len(multiple) > 1:
-        raise ValueError("unrecognized")
-    branches = [v for v in range(n) if len(nbrs[v]) > 2]
-    if not branches:
-        if not multiple:
-            return "A", n
-        i, j = multiple[0]
-        if n == 2:
-            return ("G" if c[i][j] * c[j][i] == 3 else "B"), 2
-        if c[i][j] * c[j][i] == 2:
-            sides = _arm_length(nbrs, j, i), _arm_length(nbrs, i, j)
-            if sides == (2, 2):
-                return "F", 4
-            if 1 in sides:
-                leaf, stem = (i, j) if sides[0] == 1 else (j, i)
-                return ("B" if c[stem][leaf] == -2 else "C"), n
-        raise ValueError("unrecognized")
-    if multiple or len(branches) > 1 or len(nbrs[branches[0]]) > 3:
-        raise ValueError("unrecognized")
-    b = branches[0]
-    arms = sorted(_arm_length(nbrs, b, v) for v in nbrs[b])
-    if arms[:2] == [1, 1]:
-        return "D", n
-    if arms[:2] == [1, 2] and arms[2] <= 4:
-        return "E", n
-    raise ValueError("unrecognized")
-
-
-def _arm_length(nbrs, prev: int, v: int) -> int:
-    """Nodes from v, stepping away from its neighbour prev, up to the first not of degree 2."""
-    length = 1
-    while len(nbrs[v]) == 2:
-        prev, v = v, next(u for u in nbrs[v] if u != prev)
-        length += 1
-    return length
 
 
 def _components(vectors) -> list[list[int]]:
@@ -510,37 +455,86 @@ def _components(vectors) -> list[list[int]]:
     return list(groups.values())
 
 
-def _classify_components(simples: list[Vector]) -> list[tuple[str, int]]:
-    """Dynkin types of the components of the system with these simple roots.
+def _root_orbit(keys) -> set[tuple[int, ...]]:
+    """The orbit of the integer simple keys under the group their reflections generate: their roots.
 
-    Cartan entries 2<k_i, k_j>/<k_j, k_j> are taken on integer keys; one
-    that is not an integer raises ValueError("unrecognized").
+    From the keys, v steps to v - (2<a, v>/<a, a>) a for each key a, and a
+    coefficient that is not an integer raises ValueError("unrecognized").
+    For independent, pairwise obtuse keys (_typed_orbits checks), the steps
+    with a negative coefficient climb in height and reach every positive
+    root (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    10.2-10.3); the negatives are added at the end.  No size cap is needed:
+    every image is an integer combination of the independent keys with the
+    length of a key, and a lattice holds finitely many vectors of bounded length.
     """
-    if not simples:
-        raise ValueError("unrecognized")
-    scale = _common_denominator(simples)
-    keys = [_int_key(a, scale) for a in simples]
-    names = []
-    for idx in _components(keys):
-        sub = [keys[i] for i in idx]
-        cartan = []
-        for a in sub:
-            row = []
-            for b in sub:
-                x, rem = divmod(2 * sum(map(mul, a, b)), sum(map(mul, b, b)))
+    steps = [(a, sum(map(mul, a, a))) for a in keys]
+    positive = set(keys)
+    layer = list(keys)
+    while layer:
+        nxt = []
+        for v in layer:
+            for a, aa in steps:
+                c, rem = divmod(2 * sum(map(mul, a, v)), aa)
                 if rem:
                     raise ValueError("unrecognized")
-                row.append(x)
-            cartan.append(row)
-        names.append(_dynkin_type(cartan))
-    names.sort(key=lambda t: (-t[1], t[0]))
-    return names
+                if c < 0:
+                    u = tuple(x - c * y for x, y in zip(v, a))
+                    if u not in positive:
+                        positive.add(u)
+                        nxt.append(u)
+        layer = nxt
+    return positive | {tuple(-x for x in k) for k in positive}
+
+
+def _typed_orbits(keys) -> list[tuple[tuple[str, int], set[tuple[int, ...]]]]:
+    """((letter, rank), root orbit) of each component of the system with these integer simple keys.
+
+    Dependent keys, an acute pair or a coefficient that is not an integer
+    raise ValueError("unrecognized").  A component of rank n is named by
+    its roots: of one length, A_n at n(n+1), D_n at 2n(n-1), else E_n; of
+    two, G2 at 12, F4 at 48, B_n at 2n short ones, else C_n (Humphreys 12.2).
+    """
+    if not keys or span_rank(keys)[0] < len(keys) or any(sum(map(mul, a, b)) > 0 for a, b in combinations(keys, 2)):
+        raise ValueError("unrecognized")
+    typed = []
+    for idx in _components(keys):
+        n = len(idx)
+        orbit = _root_orbit([keys[i] for i in idx])
+        norms = [sum(map(mul, k, k)) for k in orbit]
+        short = norms.count(min(norms))
+        if short == len(orbit):
+            letter = "A" if short == n * (n + 1) else "D" if short == 2 * n * (n - 1) else "E"
+        else:
+            letter = "G" if len(orbit) == 12 else "F" if len(orbit) == 48 else "B" if short == 2 * n else "C"
+        typed.append(((letter, n), orbit))
+    return sorted(typed, key=lambda t: (-t[0][1], t[0][0]))
+
+
+def _classify_components(simples: list[Vector]) -> list[tuple[str, int]]:
+    """Types of the components of the system with these simple roots (see _typed_orbits)."""
+    scale = _common_denominator(simples)
+    return [name for name, _ in _typed_orbits([_int_key(a, scale) for a in simples])]
+
+
+def _checked_components(roots) -> list[tuple[str, int]]:
+    """Types of the components of the root system roots; ValueError("not a root system") if it is not one.
+
+    Every root is W-conjugate to a simple root, so roots must be the union
+    of the orbits of its base, keyed at the common denominator of all roots.
+    """
+    scale = _common_denominator(roots)
+    typed = _typed_orbits([_int_key(a, scale) for a in base(_lex_positive(roots))])
+    if set().union(*(orbit for _, orbit in typed)) != {_int_key(a, scale) for a in roots}:
+        raise ValueError("not a root system")
+    return [name for name, _ in typed]
 
 
 def classify(rs: RootSystem) -> str:
-    """Type name such as "A2" or "B2×A1", read off the Dynkin diagram of each component."""
-    simples = base(_lex_positive(rs.roots))
-    return "×".join(f"{letter}{rank}" for letter, rank in _classify_components(simples))
+    """Type name such as "A2" or "B2×A1", named from the root orbit of each component of a base.
+
+    Raises ValueError "not a root system", or "unrecognized" for a base of no finite type.
+    """
+    return "×".join(f"{letter}{rank}" for letter, rank in _checked_components(rs.roots))
 
 
 # -- characterization ----------------------------------------------------------------
@@ -564,6 +558,9 @@ def characterize_finite(m: SupportMap) -> FiniteVerdict:
     multiplicities 1, and S union -S passes the root-system axioms relative
     to its span.  Disagreement raises VerdictMismatchError.
     """
+    from .group_ring import expand_product
+    from .quadric import _fit_sphere_keys
+
     expansion = expand_product(m)
     # the keys unsorted: the witness is unique, so the order cannot change it
     scale, ints = expansion._scale, expansion._ints
@@ -618,6 +615,8 @@ def axiom_report_to_json(rep: AxiomReport) -> dict:
 
 
 def finite_verdict_to_json(v: FiniteVerdict) -> dict:
+    from .quadric import sphere_fit_to_json
+
     return {
         "on_sphere": v.on_sphere,
         "fit": sphere_fit_to_json(v.fit),

@@ -181,6 +181,13 @@ def test_classify_file(tmp_path, capsys):
     assert json.loads(out) == {"type": "A1×A1"}
 
 
+def test_classify_refuses_sets_that_are_not_root_systems(tmp_path, capsys):
+    for roots in ([["1", "0"], ["-1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"], ["1", "1"]]):
+        src = write_json(tmp_path, "rs.json", {"dim": 2, "roots": roots})
+        code, out, err = run(capsys, "classify", src)
+        assert (code, out) == (2, "") and err == "error: not a root system\n", roots
+
+
 def test_classify_unknown_name(capsys):
     code, _, err = run(capsys, "classify", "catalog:Z9")
     assert code == 2
@@ -421,7 +428,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
         (["no-such-command"], 2, parsing),
         (["expand", m, "--output", out], 0, expanding),
         (["check", m, "--output", out], 0, finite),
-        (["classify", rs, "--output", out], 0, finite),
+        (["classify", rs, "--output", out], 0, parsing | {"rootsphere.exact", "rootsphere.finite_root"}),
     ]
     for argv, code, modules in cases:
         last = _fresh_python(

@@ -384,6 +384,35 @@ def test_classify_names():
                          vector(["1/3", 1]), vector(["-1/3", -1])])
     with pytest.raises(ValueError, match="unrecognized"):
         classify(bad)
+    # a base of A1×A1 whose orbit is not the whole set: a root too few, or one too many
+    for roots in ([(1, 0), (-1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)],
+                  [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)]):
+        rs = RootSystem(2, [vector(a) for a in roots])
+        with pytest.raises(ValueError, match="not a root system"):
+            classify(rs)
+        with pytest.raises(ValueError, match="not a root system"):
+            weyl_order(rs.roots)
+
+
+def test_classify_names_exactly_the_sets_that_pass_the_axioms():
+    rng = random.Random(16)
+    named = rejected = 0
+    for _ in range(3000):
+        dim = rng.randint(1, 3)
+        vs = {tuple(Q(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(rng.randint(1, 4))}
+        vs.discard(zero_vector(dim))
+        if not vs:
+            continue
+        rs = RootSystem(dim, (*vs, *map(vneg, vs)))
+        try:
+            classify(rs)
+            ok = True
+        except ValueError:
+            ok = False
+        assert ok == check_axioms(rs).all_pass(), rs
+        named += ok
+        rejected += not ok
+    assert named > 500 and rejected > 500
 
 
 CATALOG_TYPES = (
@@ -392,6 +421,7 @@ CATALOG_TYPES = (
     + [f"C{n}" for n in range(3, 9)]
     + [f"D{n}" for n in range(4, 9)]
     + ["E6", "E7", "E8", "F4", "G2"]
+    + ["A12", "B12", "C12", "D12"]
 )
 
 
