@@ -14,6 +14,7 @@ from .exact import (
     VerdictMismatchError,
     _Value,
     _common_denominator,
+    _grade_bound,
     _int_key,
     affine,
     inner,
@@ -295,31 +296,31 @@ def check_affine_axioms(spec: AffineSupportSpec) -> AffineAxiomReport:
     AR1 asks the truncated real roots to span the level axis together with
     the span of their parts; AR2 closure is demanded only for reflection
     images whose grade stays within the cutoff in absolute value; AR4 is
-    finiteness, witnessed by the enumeration itself.  On integer keys, AR2
-    and AR3 share one reflection pass with mirror (0; part), as in FR2/FR3.
+    finiteness, witnessed by the enumeration itself.  Every real item has
+    positive grade, so the integer keys of the real items are one key of
+    each pair k, -k: the half that the ranks, the components and the one
+    AR2/AR3 reflection pass run over, with mirror (0; part) as in FR2/FR3
+    (see _reflection_closure).  The window |grade| <= cutoff is symmetric.
     """
     real = [av.flatten() for av, _ in enumerate_support(spec) if not is_zero(av.part)]
-    flat = {*real, *map(vneg, real)}
-    c = spec.cutoff
-
-    part_rank = span_rank(sorted({f[1:] for f in flat}))[0]
-    rank = span_rank(sorted(flat))[0]
-    ar1 = rank == 1 + part_rank
-
     g = spec.grading.flatten()
-    scale = _common_denominator([*flat, g])
-    keys = {_int_key(f, scale) for f in flat}
+    scale = _common_denominator([*real, g])
+    half = {_int_key(f, scale) for f in real}
+    keys = half | {tuple(-x for x in k) for k in half}
     gint = _int_key(g, scale)
-    # |grade(v)| <= c  <=>  |<v_int, g_int>| * den <= num, with num/den = c * scale^2
-    num, den = (c * scale * scale).as_integer_ratio()
+    num, den = _grade_bound(spec.cutoff, scale)
 
     def inside(u) -> bool:
         return abs(sum(map(mul, gint, u))) * den <= num
 
-    steps = [((0, *k[1:]), sum(x * x for x in k[1:]), k) for k in keys]
-    ar2, ar3 = _reflection_closure(steps, keys, inside)
-    ar5 = _only_opposite_parallels(keys)
-    irreducible = len(_components(sorted({k[1:] for k in keys}))) == 1
+    parts = list({k[1:] for k in half})
+    rank = span_rank(half)[0]
+    ar1 = rank == 1 + span_rank(parts)[0]
+    steps = [((0, *k[1:]), sum(x * x for x in k[1:]), k) for k in half]
+    ar2, ar3 = _reflection_closure(steps, half, keys, inside)
+    ar5 = _only_opposite_parallels(half)
+    # p and -p have the same neighbours, so the parts of half give the components of the parts of keys
+    irreducible = len(_components(parts)) == 1
 
     return AffineAxiomReport(
         ar1=ar1,
@@ -329,7 +330,7 @@ def check_affine_axioms(spec: AffineSupportSpec) -> AffineAxiomReport:
         ar5=ar5,
         irreducible=irreducible,
         rank=rank,
-        cutoff=c,
+        cutoff=spec.cutoff,
         real_count=len(real),
     )
 

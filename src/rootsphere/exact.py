@@ -142,6 +142,17 @@ def _int_key(v: Vector, scale: int) -> tuple[int, ...]:
     return tuple(c.numerator * (scale // c.denominator) for c in v)
 
 
+def _grade_bound(cutoff, scale: int) -> tuple[int, int]:
+    """(num, den), num/den = cutoff * scale^2: grade(v) <= cutoff exactly when <v_int, g_int> * den <= num.
+
+    v_int and g_int are v and the grading times scale.  The test stays exact
+    when v_int is off the integers, as the image of a reflection whose
+    coefficient is not an integer is; for integer keys it reads
+    <v_int, g_int> <= num // den.
+    """
+    return (cutoff * scale * scale).as_integer_ratio()
+
+
 class _Value:
     """Base of the value classes: equality, hash and repr over the fields named in _fields.
 

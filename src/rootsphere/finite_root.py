@@ -15,6 +15,7 @@ from .exact import (
     VerdictMismatchError,
     _Value,
     _common_denominator,
+    _grade_bound,
     _int_key,
     generic_separator,
     inner,
@@ -143,27 +144,36 @@ def check_axioms(rs: RootSystem) -> AxiomReport:
     true and reported with the rank; FR4 (finiteness) is true for any finite
     input.  FR2 is closure under all reflections, FR3 integrality of the
     Cartan pairings, FR5 that the only parallel root pairs are a, -a.  On
-    integer keys, FR2 and FR3 share one pass over the pairs.
+    integer keys, FR2 and FR3 share one pass over the pairs of half, the
+    key of each pair k, -k whose first nonzero coordinate is positive (the
+    half _lex_positive takes); see _reflection_closure.
     """
-    roots = rs.roots
-    rank = span_rank(roots)[0]
-    scale = _common_denominator(roots)
-    keys = {_int_key(a, scale) for a in roots}
-    fr2, fr3 = _reflection_closure([(k, sum(map(mul, k, k)), k) for k in keys], keys)
-    fr5 = _only_opposite_parallels(keys)
-    return AxiomReport(fr1=True, fr2=fr2, fr3=fr3, fr4=True, fr5=fr5, rank=rank)
+    scale = _common_denominator(rs.roots)
+    keys = {_int_key(a, scale) for a in rs.roots}
+    half = {max(k, tuple(-x for x in k)) for k in keys}
+    fr2, fr3 = _reflection_closure([(k, sum(map(mul, k, k)), k) for k in half], half, keys)
+    fr5 = _only_opposite_parallels(half)
+    return AxiomReport(fr1=True, fr2=fr2, fr3=fr3, fr4=True, fr5=fr5, rank=span_rank(half)[0])
 
 
-def _reflection_closure(steps, keys, inside=None) -> tuple[bool, bool]:
+def _reflection_closure(steps, half, keys, inside=None) -> tuple[bool, bool]:
     """(closed, integral) for the steps (m, <m, m>, r): v -> v - (2<m, v>/<m, m>) r on keys.
 
-    closed: every image is a key (every image with inside(image), when given);
-    integral: every coefficient 2<m, v>/<m, m> is an integer.  A coefficient
-    that is not an integer stays an exact Fraction, so its image is exact too.
+    closed: every image of a key is a key (every image with inside(image),
+    when given); integral: every coefficient 2<m, v>/<m, m> is an integer.
+    half holds one key of each pair k, -k, and the steps are those of half.
+    That is enough (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 9.1): the reflection in -a is the reflection in
+    a, with the coefficient negated; s_a(-v) = -s_a(v); and s_a(a) = -a, so
+    a set that is not closed under negation is not closed.  inside must be
+    symmetric, inside(-u) == inside(u), and hold on every key.  A
+    coefficient that is not an integer stays an exact Fraction, so its image
+    is exact too.
     """
-    closed = integral = True
+    closed = len(keys) == 2 * len(half)
+    integral = True
     for m, mm, r in steps:
-        for v in keys:
+        for v in half:
             num = 2 * sum(map(mul, m, v))
             c, rem = divmod(num, mm)
             if rem:
@@ -178,20 +188,14 @@ def _reflection_closure(steps, keys, inside=None) -> tuple[bool, bool]:
     return closed, integral
 
 
-def _only_opposite_parallels(keys) -> bool:
-    """True when the only parallel pairs among nonzero integer keys are k, -k.
+def _only_opposite_parallels(half) -> bool:
+    """True when the only parallel pairs among the nonzero integer keys half and -half are k, -k.
 
-    Each primitive direction, signed so that its first nonzero coordinate is
-    positive, may carry one length only.
+    Parallel keys of half point the same way, as they do in both callers'
+    halves, so this holds exactly when no two keys of half share the
+    primitive direction k // gcd(k).
     """
-    length: dict[tuple[int, ...], int] = {}
-    for k in keys:
-        g = gcd(*k)
-        if next(x for x in k if x) < 0:
-            g = -g
-        if length.setdefault(tuple(x // g for x in k), abs(g)) != abs(g):
-            return False
-    return True
+    return len({tuple(x // gcd(*k) for x in k) for k in half}) == len(half)
 
 
 class PositiveSystem(NamedTuple):
@@ -343,9 +347,8 @@ def _orbit_walk(mirrors, roots, shifts, bound: int, grading=None, cutoff=None):
         m = _int_key(m, scale)
         steps.append((m, sum(map(mul, m, m)), _int_key(r, scale), _int_key(h, scale)))
     if prune:
-        # grade(v) <= cutoff  <=>  <v_int, g_int> <= cutoff * scale^2
         g = _int_key(grading, scale)
-        threshold = cutoff * scale * scale
+        top, den = _grade_bound(cutoff, scale)
 
     exact = True
     zero = (0,) * len(steps[0][0])
@@ -368,7 +371,7 @@ def _orbit_walk(mirrors, roots, shifts, bound: int, grading=None, cutoff=None):
                     if seen != d and seen != d - 2:
                         raise ArithmeticError("orbit collision: w -> s(w) was not injective")
                     continue
-                if prune and sum(map(mul, g, u)) > threshold:
+                if prune and sum(map(mul, g, u)) * den > top:
                     continue
                 if len(depth) >= bound:
                     raise GroupTooLargeError("group too large")
@@ -521,7 +524,10 @@ def _checked_components(roots) -> list[tuple[str, int]]:
 
     Every root is W-conjugate to a simple root, so roots must be the union
     of the orbits of its base, keyed at the common denominator of all roots.
+    No roots raise ValueError("empty root set").
     """
+    if not roots:
+        raise ValueError("empty root set")
     scale = _common_denominator(roots)
     typed = _typed_orbits([_int_key(a, scale) for a in base(_lex_positive(roots))])
     if set().union(*(orbit for _, orbit in typed)) != {_int_key(a, scale) for a in roots}:
@@ -532,7 +538,8 @@ def _checked_components(roots) -> list[tuple[str, int]]:
 def classify(rs: RootSystem) -> str:
     """Type name such as "A2" or "B2×A1", named from the root orbit of each component of a base.
 
-    Raises ValueError "not a root system", or "unrecognized" for a base of no finite type.
+    Raises ValueError "empty root set", "not a root system", or
+    "unrecognized" for a base of no finite type.
     """
     return "×".join(f"{letter}{rank}" for letter, rank in _checked_components(rs.roots))
 
@@ -583,10 +590,7 @@ def characterize_finite(m: SupportMap) -> FiniteVerdict:
     recovered = None
     if axiomatic:
         recovered = rs
-        try:
-            type_name = classify(rs)
-        except ValueError:
-            type_name = None
+        type_name = classify(rs) if rs.roots else None
     return FiniteVerdict(
         on_sphere=on_sphere,
         fit=fit,

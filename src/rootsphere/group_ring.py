@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import comb, floor, gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable
 
 from .exact import (
     Vector,
     _common_denominator,
+    _grade_bound,
     _Value,
     _int_key,
     integer,
@@ -354,10 +355,9 @@ def truncated_product(factors: Iterable[tuple], grading, cutoff) -> GroupRingEle
     if any(g <= 0 for g in grades):
         raise ValueError("a factor with nonpositive grade")
     pack, unpack, w = _packing(*_factor_box(keys, dim))
-    # grade(v) <= cutoff  <=>  <v_int, g_int> <= cutoff * scale^2
-    threshold = floor(cutoff * scale * scale)
     # a key carries grade g exactly when g * 2^w - 2^w/2 < key < g * 2^w + 2^w/2
-    cap = ((threshold + 1) << w) - (1 << (w - 1))
+    num, den = _grade_bound(cutoff, scale)
+    cap = ((num // den + 1) << w) - (1 << (w - 1))
     acc = _times_binomials([((g << w) + pack(k), mult) for (k, mult), g in zip(keys, grades)], cap)
     # only the constant term can be at or above cap: below a negative cutoff, once a factor is taken
     return GroupRingElement._from_ints(dim, scale, {unpack(k): c for k, c in acc.items() if k < cap or not keys})

@@ -376,7 +376,11 @@ def _random_explicit_specs(rng, count):
 def test_affine_axioms_match_fraction_definitions():
     rng = random.Random(2718)
     seen = set()
-    for spec in _random_explicit_specs(rng, 100):
+    # s_(2; -3) sends (2; 1) to (10/3; -1), which is no item, of grade 41/15 <= 11/4, so AR2
+    # fails; keyed at scale 5 that grade is 205/3, above floor(11/4 * 5^2) = 68, so a grade
+    # cap floored to an integer would call the image outside the cutoff
+    fixed = [ExplicitAffineSupport(1, ((affine(2, [-3]), 1), (affine(2, [1]), 1)), affine(1, ["3/5"]), Q(11, 4))]
+    for spec in [*fixed, *_random_explicit_specs(rng, 100)]:
         rep = check_affine_axioms(spec)
         expected = _affine_axioms_by_definition(spec)
         assert (rep.ar2, rep.ar3, rep.ar5, rep.irreducible) == expected
@@ -400,6 +404,15 @@ def test_weyl_rhs_smallest_cutoff():
     spec = a1_spec(Q(1, 3), grading_part="1/3")
     rhs = affine_weyl_rhs(spec)
     assert rhs.terms == {(Q(0), Q(0)): Q(1), (Q(0), Q(1)): Q(-1)}
+
+
+def test_weyl_rhs_keeps_a_term_of_grade_exactly_the_cutoff_off_the_integers():
+    # ±1/2 and ±3 are parallel, so some reflection coefficient is not an integer and the walk
+    # leaves the integer keys; (8/3; -7/2) has grade exactly 2/3, which a floored cap would drop
+    spec = GeneratedAffineSupport(1, tuple(vector([c]) for c in ("1/2", "-1/2", 3, -3)), affine(1, ["4/7"]), Q(2, 3))
+    terms = affine_weyl_rhs(spec).terms
+    assert terms[(Q(8, 3), Q(-7, 2))] == 1
+    assert max(k[0] + inner(k[1:], spec.grading.part) for k in terms) == spec.cutoff
 
 
 def test_weyl_rhs_a1_cutoff_two():

@@ -182,10 +182,14 @@ def test_classify_file(tmp_path, capsys):
 
 
 def test_classify_refuses_sets_that_are_not_root_systems(tmp_path, capsys):
-    for roots in ([["1", "0"], ["-1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"], ["1", "1"]]):
+    for roots, message in [
+        ([["1", "0"], ["-1", "0"], ["0", "1"]], "not a root system"),
+        ([["1", "0"], ["0", "1"], ["1", "1"]], "not a root system"),
+        ([], "empty root set"),
+    ]:
         src = write_json(tmp_path, "rs.json", {"dim": 2, "roots": roots})
         code, out, err = run(capsys, "classify", src)
-        assert (code, out) == (2, "") and err == "error: not a root system\n", roots
+        assert (code, out) == (2, "") and err == f"error: {message}\n", roots
 
 
 def test_classify_unknown_name(capsys):
@@ -530,6 +534,15 @@ def test_finite_check_in_dimension_0_is_an_error(tmp_path, capsys):
     assert err.startswith("error:") and "dimension 0" in err
     code, out, err = run(capsys, "expand", src)
     assert code == 0 and json.loads(out) == {"dim": 0, "terms": [{"c": "1", "v": []}]}
+
+
+def test_check_of_the_empty_support_names_no_type(tmp_path, capsys):
+    # the empty set passes the axioms, so it is recovered, but classify has no type for it
+    src = write_json(tmp_path, "m.json", {"dim": 2, "support": []})
+    code, out, _ = run(capsys, "check", src)
+    data = json.loads(out)
+    assert code == 0 and data["on_sphere"] is True
+    assert data["recovered"] == {"dim": 2, "roots": []} and data["type"] is None
 
 
 def test_negative_dimension_is_named(tmp_path, capsys):

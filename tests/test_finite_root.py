@@ -145,7 +145,9 @@ def _random_rational_root_sets(rng, count):
 def test_axioms_match_fraction_definitions():
     rng = random.Random(4096)
     seen = set()
-    for roots in _random_rational_root_sets(rng, 150):
+    # a pair k, -k present only through its lexicographically negative key
+    fixed = [[vector([-1, 0])], [vector([0, 1]), vector([0, -1]), vector([-1, 0])]]
+    for roots in [*fixed, *_random_rational_root_sets(rng, 150)]:
         rs = RootSystem(len(roots[0]), roots)
         rep = check_axioms(rs)
         expected = _axioms_by_definition(rs.roots)
@@ -401,9 +403,13 @@ def test_classify_names_exactly_the_sets_that_pass_the_axioms():
         dim = rng.randint(1, 3)
         vs = {tuple(Q(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(rng.randint(1, 4))}
         vs.discard(zero_vector(dim))
-        if not vs:
-            continue
         rs = RootSystem(dim, (*vs, *map(vneg, vs)))
+        if not vs:
+            # the empty set passes every axiom but has no type to name
+            assert check_axioms(rs).all_pass()
+            with pytest.raises(ValueError, match="empty root set"):
+                classify(rs)
+            continue
         try:
             classify(rs)
             ok = True
