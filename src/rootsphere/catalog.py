@@ -8,11 +8,11 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import AffineVector, Q, Vector, inner, rational, vector, vscale
 from .finite_root import RootSystem, _component_order, weyl_vector
-from .group_ring import GroupRingElement, SignedSupportMap, expand_product
-from .quadric import SphereFit, fit_sphere
 
 if TYPE_CHECKING:
     from .affine_root import GeneratedAffineSupport
+    from .group_ring import GroupRingElement, SignedSupportMap
+    from .quadric import SphereFit
 
 _LETTERS = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -263,6 +263,9 @@ def remark210_counterexample() -> tuple[SignedSupportMap, GroupRingElement, Sphe
     absolute support doubled by negation is not a root system, so the sphere
     here genuinely needs the signed multiplicities.
     """
+    from .group_ring import SignedSupportMap, expand_product
+    from .quadric import fit_sphere
+
     alpha = vector([2, 0, 0, 0])
     beta = vector([-1, 1, 1, 1])
     gamma = tuple(a + b for a, b in zip(alpha, beta))

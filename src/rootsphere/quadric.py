@@ -50,47 +50,50 @@ def fit_sphere(points) -> SphereFit | None:
 def _fit_sphere_keys(keys: list, den: int) -> SphereFit | None:
     """fit_sphere of the points k/den, for distinct integer keys k of one length.
 
-    On D_i = k_i - k_0, a greedy basis B of the D_i gives the k x k Gram
-    system 2<B_i, B_j> t_j = |B_i|^2, and the center offset is
-    c - p_0 = N/(den*m) with m the common denominator of t and
-    N = sum_j m*t_j*B_j an integer vector.  Point i lies on the sphere
-    exactly when m*|D_i|^2 = 2<D_i, N>; the first one off it gives None.
-    The witness, center c/scale and radius_sq r/scale^2 with scale = den*m,
-    is then verified exactly on every point: |m*k_i - c|^2 = r.
+    One scan grows a basis B of differences k - k_0 from points off the
+    current sphere.  The candidate center is c/(den*m), the circumcenter of
+    k_0 and the points taken into B: with t solving the Gram system
+    2<B_i, B_j> t_j = |B_i|^2 and m the common denominator of t,
+    c = m*k_0 + sum_j m*t_j*B_j is an integer vector, and the radius is
+    r/(den*m)^2 with r = |m*k_0 - c|^2.  Each round looks for the first key
+    k with |m*k - c|^2 != r.  With none, the candidate is the answer.  When
+    k - k_0 lies in span(B), k sits in the hull of k_0 and B and off its
+    circumcenter's sphere, so it is off every sphere through those points,
+    and the answer is None.  Otherwise k - k_0 joins B and the scan starts
+    again from the first key, since a point that sat on the old sphere may
+    fall off the new one.
+
+    The returned center lies in the hull of the keys and is at equal
+    distance from all of them, so it is the hull circumcenter, which is
+    unique: which points the scan takes into B cannot change it.  The last
+    scan is the one exact check of exactly the returned center and radius
+    on every key.
     """
     if not keys:
         raise ValueError("no points")
-    dim = len(keys[0])
     k0 = keys[0]
-    diffs = [tuple(x - y for x, y in zip(k, k0)) for k in keys[1:]]
-    _, idx = span_rank(diffs)
-    basis = [diffs[i] for i in idx]
-    gram = [[2 * _dot(bi, bj) for bj in basis] for bi in basis]
-    sol = solve_linear(gram, [_dot(b, b) for b in basis], ncols=len(basis))
-    if sol.kind != "unique":
-        raise ArithmeticError("hull-restricted sphere system must be determined")
-
-    m = _common_denominator([sol.particular])
-    u = _int_key(sol.particular, m)
-    offset = [sum(uj * b[i] for uj, b in zip(u, basis)) for i in range(dim)]
-    for d in diffs:
-        if m * _dot(d, d) != 2 * _dot(d, offset):
-            return None
-
-    scale = den * m
-    c = [x * m + y for x, y in zip(k0, offset)]
-    r = _dot(offset, offset)
-    if r == 0:
-        if len(keys) > 1:
-            raise ArithmeticError("zero radius with distinct points")
-        if not dim:
+    if len(keys) == 1:
+        if not k0:
             raise ValueError("no sphere in dimension 0: its one point has no center off it")
         # single point: any center off the point works; perturb along e_1
-        c[0] += scale
-        r = scale * scale
-    for k in keys:
-        if sum((m * x - y) ** 2 for x, y in zip(k, c)) != r:
-            raise ArithmeticError("sphere fit failed exact verification")
+        return SphereFit((Q(k0[0] + den, den), *(Q(x, den) for x in k0[1:])), Q(1))
+    basis: list[tuple[int, ...]] = []
+    m, c, r = 1, k0, 0  # k_0 alone: its circumcenter is k_0, at radius 0
+    while (off := next((k for k in keys if sum((m * x - y) ** 2 for x, y in zip(k, c)) != r), None)) is not None:
+        d = tuple(x - y for x, y in zip(off, k0))
+        if span_rank(basis + [d])[0] == len(basis):
+            return None
+        basis.append(d)
+        sol = solve_linear([[2 * _dot(a, b) for b in basis] for a in basis], [_dot(b, b) for b in basis])
+        if sol.kind != "unique":
+            raise ArithmeticError("hull-restricted sphere system must be determined")
+        m = _common_denominator([sol.particular])
+        u = _int_key(sol.particular, m)
+        c = [m * x + _dot(u, column) for x, column in zip(k0, zip(*basis))]
+        r = sum((m * x - y) ** 2 for x, y in zip(k0, c))
+    if r == 0:
+        raise ArithmeticError("zero radius with distinct points")
+    scale = den * m
     return SphereFit(tuple(Q(x, scale) for x in c), Q(r, scale * scale))
 
 

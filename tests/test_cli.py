@@ -427,12 +427,15 @@ def test_each_command_loads_only_its_modules(tmp_path):
     parsing = {"rootsphere", "rootsphere.cli"}
     expanding = parsing | {"rootsphere.exact", "rootsphere.group_ring"}
     finite = expanding | {"rootsphere.quadric", "rootsphere.finite_root"}
+    classifying = parsing | {"rootsphere.exact", "rootsphere.finite_root"}
     cases = [
         (["--help"], 0, parsing),
         (["no-such-command"], 2, parsing),
         (["expand", m, "--output", out], 0, expanding),
         (["check", m, "--output", out], 0, finite),
-        (["classify", rs, "--output", out], 0, parsing | {"rootsphere.exact", "rootsphere.finite_root"}),
+        (["classify", rs, "--output", out], 0, classifying),
+        (["classify", "catalog:B2", "--output", out], 0, classifying | {"rootsphere.catalog"}),
+        (["denominator", "A2", "--output", out], 0, expanding | {"rootsphere.finite_root", "rootsphere.catalog"}),
     ]
     for argv, code, modules in cases:
         last = _fresh_python(

@@ -332,6 +332,19 @@ def test_characterize_multiplicity_two():
     assert verdict.axioms.all_pass()
 
 
+def test_characterize_raises_when_the_sphere_and_the_axioms_disagree(monkeypatch):
+    import rootsphere.quadric as quadric_mod
+    from rootsphere.finite_root import VerdictMismatchError
+    from rootsphere.quadric import SphereFit
+
+    monkeypatch.setattr(quadric_mod, "_fit_sphere_keys", lambda keys, den: None)
+    with pytest.raises(VerdictMismatchError, match="^sphere verdict False disagrees with axiomatic verdict True$"):
+        characterize_finite(SupportMap(3, {A: 1, B: 1, AB: 1}))
+    monkeypatch.setattr(quadric_mod, "_fit_sphere_keys", lambda keys, den: SphereFit((Q(1), Q(0), Q(-1)), Q(2)))
+    with pytest.raises(VerdictMismatchError, match="^sphere verdict True disagrees with axiomatic verdict False$"):
+        characterize_finite(SupportMap(3, {A: 2, B: 1, AB: 1}))
+
+
 def test_characterize_missing_root():
     verdict = characterize_finite(SupportMap(3, {A: 1, B: 1}))
     assert not verdict.on_sphere

@@ -240,6 +240,15 @@ def _perturbed(rng, pts, move):
 
 
 def test_fit_sphere_matches_all_rows_reference():
+    # a point off the hull can sit on a partial sphere and fall off the final one:
+    # a scan that goes on past a new basis point instead of starting again fits
+    # the first set, which lies on no circle, and fits the second with a wrong center
+    first = [vector(p) for p in [(1, -2), (0, 2), (1, 2), (-2, 2)]]
+    second = [vector(p) for p in [(-1, -2, -2), (2, 1, -1), (-1, 1, -1), (-2, -1, 2)]]
+    for pts, expected in ((first, None), (second, SphereFit((Q(1, 2), Q(-25, 22), Q(9, 22)), Q(4259, 484)))):
+        assert _sphere_reference(pts) == expected
+        assert fit_sphere(pts) == expected
+
     rng = random.Random(31337)
     seen = {"fit": 0, "none": 0, "low-hull fit": 0}
     for _ in range(400):
