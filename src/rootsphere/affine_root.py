@@ -408,7 +408,7 @@ def characterize_affine(spec: AffineSupportSpec) -> AffineVerdict:
     factors = [(av.flatten(), m) for av, m in items]
     expansion = truncated_product(factors, spec.grading.flatten(), spec.cutoff)
     scale, ints = expansion._scale, expansion._ints
-    fit = _fit_paraboloid_keys(sorted(ints), scale)
+    fit = _fit_paraboloid_keys(list(ints), scale)
     on_paraboloid = fit is not None
 
     axioms = check_affine_axioms(spec)

@@ -87,7 +87,8 @@ def _g2_roots() -> list[Vector]:
 
 def _parse_name(name: str) -> tuple[str, int]:
     name = name.strip()
-    if len(name) < 2 or name[0] not in _LETTERS or not name[1:].isdigit():
+    # ASCII digits only: str.isdigit also takes Arabic-Indic and superscript digits
+    if len(name) < 2 or name[0] not in _LETTERS or not (name[1:].isascii() and name[1:].isdigit()):
         raise ValueError(f"unknown catalog name: {name}")
     return name[0], int(name[1:])
 

@@ -78,6 +78,8 @@ def _affine_spec(src: str, cutoff):
         if data.get("kind") != "generated":
             return explicit_spec_from_json(data)
         name = json_field(data, "name")
+        if not isinstance(name, str):
+            raise CliError('input: field "name" must be a string')
         grading = affine_vector_from_json(data["grading"], "grading") if "grading" in data else None
         cutoff = cutoff if cutoff is not None else data.get("cutoff")
     if cutoff is None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable
 
 from .exact import (
@@ -277,15 +277,24 @@ def _factor_box(keys, dim: int) -> tuple[list[int], list[int]]:
 def _times_binomials(factors, cap: int) -> dict:
     """Product of (1 - e^p)^mult over packed keys p, factor by factor into one dict.
 
-    For p > 0 a factor's terms e^{jp} rise with j; the inner loop stops at
-    the first key >= cap, so such a term is never built.  A cap above every
-    key of the box keeps all terms.
+    A factor's terms e^{jp} carry c_j = (-1)^j * C(mult, j), built by the
+    recurrence c_j = -c_(j-1) * (mult - j + 1) / j only while j*p < cap, so
+    a term at or above the cap is never built.  For p > 0 the terms rise
+    with j and the inner loop stops at the first key >= cap; when every key
+    of acc is >= 0, as in truncated_product, that loop would not have read
+    the terms left out.  A cap above every key of the box, as in
+    expand_product, keeps all terms.
     """
     acc = {0: 1}
     for p, mult in factors:
         out = dict(acc)
         get = out.get
-        fac = [(j * p, (-1) ** j * comb(mult, j)) for j in range(1, mult + 1)]
+        fac, c = [], 1
+        for j in range(1, mult + 1):
+            if j * p >= cap:
+                break
+            c = -c * (mult - j + 1) // j
+            fac.append((j * p, c))
         for ka, ca in acc.items():
             for kb, cb in fac:
                 k = ka + kb

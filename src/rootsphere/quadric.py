@@ -114,26 +114,49 @@ def fit_paraboloid(points) -> ParaboloidFit | None:
 def _fit_paraboloid_keys(keys: list, den: int) -> ParaboloidFit | None:
     """fit_paraboloid of the points k/den, for distinct flattened integer keys k.
 
-    Rows are scaled to integers by den^2 first, which changes neither the
-    solution set nor the pinned witness.  With m the common denominator of
-    the solution (r, d), R = m*r and D = m*d are integers, part_c = D/R and
-    level_c = a/b, and point k lies on the paraboloid exactly when
-    b*m*R*den*level(k) - m*R*den^2*a = b*|R*part(k) - den*D|^2.  The
-    witness is verified so, in integers, on every point.
+    Key k = (l, q) gives the row (|q|^2 - |q_0|^2, -2*den*(q - q_0) | den*(l - l_0))
+    in (r, d): the paraboloid equation at k differenced against k_0 and
+    scaled to integers by den^2.  One pass holds the solution set of the
+    rows kept so far, as solve_linear returns it, in integers: gens holds
+    (e*x, -e) for the particular solution x with common denominator e, and
+    each kernel vector scaled to integers with a 0 appended.  A row holds on
+    every solution exactly when it is orthogonal to every generator; it
+    joins the system only when it is not, and the system is solved again.
+    An inconsistent solve means no fit.  The first key's row is zero and
+    only starts the system.
+
+    A row holds on every solution of a consistent system exactly when it
+    lies in the span of that system's augmented rows.  So the pass keeps the
+    rows that _echelon picks from all rows, in the same greedy order, and
+    meets an inconsistent row where _echelon would.  The kept rows have the
+    solution set of all the rows, and solve_linear's answer depends on that
+    set alone, so the witness is the one the full system gives, whatever the
+    order of the keys.  Each key is checked once, in integers, against a
+    solution set that contains the witness: that is the fit's one exact
+    check.
+
+    A free r is pinned to 1, and a nonpositive r is moved there along a
+    kernel direction that changes it.  With m the common denominator of the
+    witness (r, d), R = m*r and D = m*d are integers, part_c = D/R, and
+    level_c follows from k_0 lying on the paraboloid.
     """
     if not keys:
         raise ValueError("no points")
     n = len(keys[0]) - 1
     l0, q0 = keys[0][0], keys[0][1:]
     n0 = _dot(q0, q0)
-    rows, rhs = [], []
-    for k in keys[1:]:
+    kept, gens = [], None
+    for k in keys:
         q = k[1:]
-        rows.append([_dot(q, q) - n0, *(-2 * den * (x - y) for x, y in zip(q, q0))])
-        rhs.append(den * (k[0] - l0))
-    sol = solve_linear(rows, rhs, ncols=1 + n)
-    if sol.kind == "inconsistent":
-        return None
+        w = [_dot(q, q) - n0, *(-2 * den * (x - y) for x, y in zip(q, q0)), den * (k[0] - l0)]
+        if gens is None or any(_dot(w, g) for g in gens):
+            kept.append(w)
+            sol = solve_linear([a[:-1] for a in kept], [a[-1] for a in kept], ncols=1 + n)
+            if sol.kind == "inconsistent":
+                return None
+            e = _common_denominator([sol.particular])
+            gens = [(*_int_key(sol.particular, e), -e)]
+            gens += [(*_int_key(v, _common_denominator([v])), 0) for v in sol.kernel_basis]
 
     x = list(sol.particular)
     if x[0] <= 0:
@@ -144,16 +167,8 @@ def _fit_paraboloid_keys(keys: list, den: int) -> ParaboloidFit | None:
         x = [xi + t * ki for xi, ki in zip(x, k)]
     m = _common_denominator([x])
     R, *D = _int_key(x, m)
-
-    def off(q) -> int:
-        return sum((R * y - den * z) ** 2 for y, z in zip(q, D))
-
-    mr = m * R
-    level_c = Q(mr * den * l0 - off(q0), mr * den * den)
-    a, b = level_c.numerator, level_c.denominator
-    for k in keys:
-        if b * mr * den * k[0] - mr * den * den * a != b * off(k[1:]):
-            raise ArithmeticError("paraboloid fit failed exact verification")
+    off0 = sum((R * y - den * z) ** 2 for y, z in zip(q0, D))
+    level_c = Q(m * R * den * l0 - off0, m * R * den * den)
     return ParaboloidFit(AffineVector(level_c, tuple(Q(z, R) for z in D)), x[0])
 
 

@@ -198,6 +198,12 @@ def test_classify_unknown_name(capsys):
     assert "unknown catalog name" in err
 
 
+def test_catalog_names_take_ascii_digits_only(capsys):
+    # str.isdigit takes the Arabic-Indic three and the superscript two
+    for name in ("A\u0663", "A\u00b2"):
+        assert run(capsys, "denominator", name) == (2, "", f"error: unknown catalog name: {name}\n"), name
+
+
 def test_denominator_a2(capsys):
     code, out, _ = run(capsys, "denominator", "A2")
     assert code == 0
@@ -351,6 +357,7 @@ def test_missing_json_fields_are_named_with_their_place(tmp_path, capsys):
         (("check",), {"dim": 1, "support": [[1]]}, "support[0]: expected an object"),
         (("classify",), {"dim": 2}, 'input: missing field "roots"'),
         (("check", "--mode", "affine", "--cutoff", "2"), {"kind": "generated"}, 'input: missing field "name"'),
+        (("check", "--mode", "affine"), {"kind": "generated", "name": 5, "cutoff": "2"}, 'input: field "name" must be a string'),
         (
             ("check", "--mode", "affine"),
             {"dim": 1, "items": [{"level": "1", "v": ["1"]}], "grading": {"level": "1", "v": ["0"]}, "cutoff": "2"},

@@ -230,6 +230,21 @@ def test_expand_constant_term_can_vanish():
     assert x.coefficient((Q(0),)) == 0
 
 
+def test_expand_single_vector_matches_binomials():
+    v = (Q(2), Q(-1))
+    for mult in range(1, 61):
+        assert expand_product(SupportMap(2, {v: mult})).terms == _ref_binomial(v, mult), mult
+
+
+def test_truncated_builds_only_the_terms_below_the_cutoff():
+    # (1 - e^a)^10000 (1 - e^b) with grade(a) = grade(b) = 1/2 keeps the 9 terms ja + ib with j + i <= 4;
+    # building all 10 001 binomials of the first factor would take seconds
+    x = truncated_product([((0, 1), 10000), ((1, -1), 1)], (1, "1/2"), 2)
+    expected = {vector((i, j - i)): (-1) ** (i + j) * comb(10000, j) for i in (0, 1) for j in range(5 - i)}
+    assert len(expected) == 9
+    assert x.terms == expected
+
+
 def test_truncated_single_factor():
     x = truncated_product([((Q(1),), 1)], (Q(1),), Q(5))
     assert x == one(1) - monomial(1, (Q(1),))

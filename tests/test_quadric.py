@@ -306,6 +306,8 @@ def test_fit_paraboloid_matches_all_rows_reference():
         pts = _perturbed(rng, pts, lambda p: affine(p.level + Q(1, den), p.part))
         expected, pinned = _paraboloid_reference(pts)
         assert fit_paraboloid(pts) == expected
+        # the witness does not depend on the order of the points
+        assert fit_paraboloid(pts[::-1]) == expected
         seen["none" if expected is None else "fit"] += 1
         seen["pinned"] += pinned
         if expected is not None:
