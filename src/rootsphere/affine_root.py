@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor
 from operator import mul
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import (
     AffineVector,
@@ -45,7 +45,9 @@ from .finite_root import (
     base,
 )
 from .group_ring import GroupRingElement, truncated_product
-from .quadric import ParaboloidFit, _fit_paraboloid_keys, paraboloid_fit_to_json
+
+if TYPE_CHECKING:
+    from .quadric import ParaboloidFit
 
 
 def affine_inner(a: AffineVector, b: AffineVector) -> Fraction:
@@ -149,10 +151,15 @@ class GeneratedAffineSupport(_Value):
     Real items are (k*period; a) for every root a, graded positive and within
     the cutoff; isotropic items sit at the positive multiples of the period
     with multiplicity equal to the rank.  The constructor coerces, dedupes
-    and checks the roots as RootSystem does.
+    and checks the roots as RootSystem does, and builds the items once, in
+    items, sorted by grade, then level, then part; items is not a field, so
+    equality, hash and repr read the generating data only.  The constructor
+    raises "grading not generic: a ladder hits grade 0" when a ladder point
+    has grade 0, and "empty support" when no item has grade in (0, cutoff].
     """
 
-    __slots__ = _fields = ("dim", "roots", "grading", "cutoff", "period", "name")
+    _fields = ("dim", "roots", "grading", "cutoff", "period", "name")
+    __slots__ = _fields + ("items",)
 
     def __init__(
         self,
@@ -174,6 +181,20 @@ class GeneratedAffineSupport(_Value):
             raise ValueError("period must be positive")
         self.dim, self.roots, self.grading = dim, RootSystem(dim, roots).roots, grading
         self.cutoff, self.period, self.name = cutoff, period, name
+        step = period * grading.level
+        items: list[tuple[AffineVector, int]] = []
+        for a in self.roots:
+            # integer k with lo < k <= hi, that is 0 < k*step + g0 <= cutoff
+            g0 = inner(a, grading.part)
+            lo, hi = -g0 / step, (cutoff - g0) / step
+            if lo.denominator == 1:
+                raise ValueError("grading not generic: a ladder hits grade 0")
+            items += [(AffineVector(k * period, a), 1) for k in range(floor(lo) + 1, floor(hi) + 1)]
+        mult, iso = self.rank, zero_vector(dim)
+        items += [(AffineVector(k * period, iso), mult) for k in range(1, floor(cutoff / step) + 1)]
+        if not items:
+            raise ValueError("empty support")
+        self.items = tuple(sorted(items, key=lambda t: _graded(t[0], grading)))
 
     @property
     def rank(self) -> int:
@@ -184,35 +205,12 @@ AffineSupportSpec = ExplicitAffineSupport | GeneratedAffineSupport
 
 
 def enumerate_support(spec: AffineSupportSpec) -> list[tuple[AffineVector, int]]:
-    """All support items of grade in (0, cutoff], sorted by grade then level then part."""
-    if isinstance(spec, ExplicitAffineSupport):
-        return list(spec.items)
+    """All support items of grade in (0, cutoff], sorted by grade then level then part.
 
-    p1 = spec.grading.level
-    p2 = spec.grading.part
-    c = spec.cutoff
-    items: list[tuple[AffineVector, int]] = []
-    for a in spec.roots:
-        g0 = inner(a, p2)
-        step = spec.period * p1
-        # integer k with 0 < k*step + g0 <= c
-        lo = -g0 / step
-        hi = (c - g0) / step
-        if lo.denominator == 1:
-            raise ValueError("grading not generic: a ladder hits grade 0")
-        k = floor(lo) + 1
-        while k <= hi:
-            items.append((AffineVector(k * spec.period, a), 1))
-            k += 1
-    mult = spec.rank
-    k = 1
-    while k * spec.period * p1 <= c:
-        items.append((AffineVector(k * spec.period, zero_vector(spec.dim)), mult))
-        k += 1
-    if not items:
-        raise ValueError("empty support")
-    items.sort(key=lambda t: _graded(t[0], spec.grading))
-    return items
+    Both kinds of spec build their items at construction, where their errors
+    raise, so this is a copy of spec.items.
+    """
+    return list(spec.items)
 
 
 # -- structure of the real part -----------------------------------------------------
@@ -302,7 +300,7 @@ def check_affine_axioms(spec: AffineSupportSpec) -> AffineAxiomReport:
     AR2/AR3 reflection pass run over, with mirror (0; part) as in FR2/FR3
     (see _reflection_closure).  The window |grade| <= cutoff is symmetric.
     """
-    real = [av.flatten() for av, _ in enumerate_support(spec) if not is_zero(av.part)]
+    real = [av.flatten() for av, _ in spec.items if not is_zero(av.part)]
     g = spec.grading.flatten()
     scale = _common_denominator([*real, g])
     half = {_int_key(f, scale) for f in real}
@@ -354,10 +352,17 @@ def affine_weyl_rhs(spec: AffineSupportSpec, bound: int = DEFAULT_WEYL_BOUND) ->
     cutoff is dropped with everything beyond it, exactly.  bound counts the
     elements kept, those with grade(s(w)) <= cutoff; when more are found,
     GroupTooLargeError is raised.
+
+    The pruning is exact only when spec.roots is a root system: the rise
+    along reduced words is a fact about root systems.  Other roots are not
+    refused.  For the parallel roots +-1/2, +-3 with grading (1; 4/7) and
+    cutoff 2/3 some reflection coefficient is not an integer, the walk
+    leaves the integer keys and the sum keeps (8/3; -7/2), of grade exactly
+    the cutoff; such a sum need not equal the truncated product.
     """
     if not isinstance(spec, GeneratedAffineSupport):
         raise ValueError("affine Weyl sum needs a generated spec")
-    simples = _affine_base(enumerate_support(spec), spec.grading)
+    simples = _affine_base(spec.items, spec.grading)
     if not simples:
         raise ValueError("empty affine base")
     roots = [a.flatten() for a in simples]
@@ -401,7 +406,9 @@ def characterize_affine(spec: AffineSupportSpec) -> AffineVerdict:
     shallow to expose the defect geometrically, so the converse is reported,
     not asserted.
     """
-    items = enumerate_support(spec)
+    from .quadric import _fit_paraboloid_keys
+
+    items = spec.items
     real = [(av, m) for av, m in items if not is_zero(av.part)]
     iso = [(av, m) for av, m in items if is_zero(av.part)]
 
@@ -486,6 +493,8 @@ def affine_axiom_report_to_json(rep: AffineAxiomReport) -> dict:
 
 
 def affine_verdict_to_json(v: AffineVerdict) -> dict:
+    from .quadric import paraboloid_fit_to_json
+
     return {
         "on_paraboloid": v.on_paraboloid,
         "fit": paraboloid_fit_to_json(v.fit),

@@ -151,11 +151,11 @@ def _cmd_denominator(args) -> dict:
 
 
 def _cmd_macdonald(args) -> dict:
-    from .affine_root import affine_weyl_rhs, enumerate_support
+    from .affine_root import affine_weyl_rhs
     from .group_ring import truncated_product
 
     spec = _affine_spec("catalog-affine:" + args.name, args.cutoff)
-    factors = [(av.flatten(), mult) for av, mult in enumerate_support(spec)]
+    factors = [(av.flatten(), mult) for av, mult in spec.items]
     lhs = truncated_product(factors, spec.grading.flatten(), spec.cutoff)
     rhs = affine_weyl_rhs(spec, _weyl_bound(args))
     per_grade: dict[str, int] = {}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
@@ -440,8 +441,19 @@ def element_to_json(x: GroupRingElement) -> dict:
     text = {k: str(q) for k, q in x._fractions().items()}
     return {
         "dim": x.dim,
-        "terms": [{"v": [text[c] for c in k], "c": str(ints[k])} for k in sorted(ints)],
+        "terms": [_term_to_json([text[c] for c in k], ints[k]) for k in sorted(ints)],
     }
+
+
+def _term_to_json(v: list[str], c: int) -> dict:
+    """One term; a coefficient past the interpreter's digit limit for str(int) raises ExpansionTooLargeError."""
+    try:
+        return {"v": v, "c": str(c)}
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ExpansionTooLargeError(
+            f"expansion too large to print: the coefficient at v = ({', '.join(v)}) has more than {limit} digits"
+        ) from None
 
 
 def element_from_json(d: dict) -> GroupRingElement:

@@ -30,7 +30,7 @@ from rootsphere.affine_root import (
     linear_form,
 )
 from rootsphere.catalog import untwisted_affine
-from rootsphere.exact import AffineVector, Q, affine, inner, norm_sq, vector, vsub, zero_vector
+from rootsphere.exact import AffineVector, Q, affine, inner, norm_sq, span_rank, vector, vneg, vsub, zero_vector
 from rootsphere.finite_root import GroupTooLargeError, identity_matrix, mat_det, mat_mul, mat_vec
 from rootsphere.group_ring import monomial, mul, truncated_product
 
@@ -131,6 +131,69 @@ def test_enumerate_a1_cutoff_two():
         (AffineVector(Q(2), (Q(0),)), 1),
     ]
     assert got == expected
+
+
+def _brute_force_items(roots, grading, cutoff, period, window=80):
+    """The items of a generated spec by definition, or the message its constructor must raise.
+
+    Every (k*period; a) over the roots and every (k*period; 0) with multiplicity the rank, for
+    |k| <= window, kept when 0 < grade <= cutoff and sorted by grade, then level, then part.
+    """
+    ladders = [(AffineVector(k * period, a), 1) for a in roots for k in range(-window, window + 1)]
+    if any(grade(av, grading) == 0 for av, _ in ladders):
+        return "grading not generic: a ladder hits grade 0"
+    rank = span_rank(roots)[0]
+    ladders += [(AffineVector(k * period, zero_vector(grading.dim)), rank) for k in range(1, window + 1)]
+    kept = [(av, m) for av, m in ladders if 0 < grade(av, grading) <= cutoff]
+    # the window is wide enough: no kept item is at its ends
+    assert all(abs(av.level) < window * period for av, _ in kept)
+    return sorted(kept, key=lambda t: (grade(t[0], grading), t[0].level, t[0].part)) if kept else "empty support"
+
+
+def test_generated_items_match_a_brute_force_enumeration():
+    rng = random.Random(20)
+    coords = [Q(-1), Q(-1, 2), Q(0), Q(1, 2), Q(1)]
+    seen = set()
+    for _ in range(120):
+        dim = rng.randint(1, 3)
+        picked = {tuple(rng.choice(coords) for _ in range(dim)) for _ in range(rng.randint(1, 3))}
+        roots = tuple({r for r in picked | {vneg(r) for r in picked} if any(r)})
+        if not roots:
+            continue
+        period = rng.choice([Q(1, 2), Q(2, 3), Q(1), Q(2), Q(3)])
+        grading = AffineVector(
+            rng.choice([Q(1, 3), Q(1, 2), Q(1), Q(3, 2), Q(2)]),
+            tuple(Q(rng.randint(-2, 2), rng.choice((1, 2, 3, 7))) for _ in range(dim)),
+        )
+        draw = rng.random()
+        if draw < 0.5:
+            # the grade of a ladder point, real or isotropic, as the cutoff
+            a = rng.choice(roots + (zero_vector(dim),))
+            cutoff = rng.randint(1, 4) * period * grading.level + inner(a, grading.part)
+            cutoff = cutoff if cutoff > 0 else period * grading.level
+        elif draw < 0.9:
+            cutoff = Q(rng.randint(1, 8), rng.choice((2, 3)))
+        else:
+            cutoff = Q(1, 100)
+        try:
+            got = enumerate_support(GeneratedAffineSupport(dim, roots, grading, cutoff, period))
+        except ValueError as exc:
+            got = str(exc)
+        expected = _brute_force_items(roots, grading, cutoff, period)
+        assert got == expected, (roots, grading, cutoff, period)
+        if isinstance(expected, str):
+            seen.add(expected)
+        else:
+            seen.add("cutoff hit" if grade(expected[-1][0], grading) == cutoff else "cutoff missed")
+        seen.add(("level", grading.level == 1))
+    assert seen == {
+        "cutoff hit",
+        "cutoff missed",
+        "grading not generic: a ladder hits grade 0",
+        "empty support",
+        ("level", True),
+        ("level", False),
+    }
 
 
 def test_enumerate_explicit_passthrough():
@@ -540,10 +603,10 @@ def test_characterize_a1_positive():
 
 
 def test_characterize_raises_when_the_axioms_accept_and_no_paraboloid_fits(monkeypatch):
-    import rootsphere.affine_root as affine_root_mod
+    import rootsphere.quadric as quadric_mod
     from rootsphere.finite_root import VerdictMismatchError
 
-    monkeypatch.setattr(affine_root_mod, "_fit_paraboloid_keys", lambda keys, den: None)
+    monkeypatch.setattr(quadric_mod, "_fit_paraboloid_keys", lambda keys, den: None)
     with pytest.raises(VerdictMismatchError, match="^axiomatic verdict True disagrees with paraboloid verdict False$"):
         characterize_affine(a1_spec(4))
     # when the axioms reject the support too, the verdict is returned

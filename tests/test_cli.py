@@ -85,6 +85,16 @@ def test_expand_signed_quotient(tmp_path, capsys):
     assert data["terms"] == [{"v": ["0"], "c": "1"}, {"v": ["1"], "c": "1"}]
 
 
+def test_expand_names_a_coefficient_too_long_to_print(tmp_path, capsys):
+    # (1 - e^v)^15000 has coefficients C(15000, k); the first past the default limit of 4300 digits
+    # for str(int) is at k = 5592, and the limit itself is left as it is
+    src = write_json(tmp_path, "m.json", {"dim": 1, "support": [{"v": ["1"], "mult": 15000}]})
+    code, out, err = run(capsys, "expand", src)
+    assert (code, out) == (2, "")
+    assert err == "error: expansion too large to print: the coefficient at v = (5592) has more than 4300 digits\n"
+    assert sys.get_int_max_str_digits() == 4300
+
+
 def test_check_rejects_signed(tmp_path, capsys):
     src = write_json(
         tmp_path,
@@ -435,6 +445,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
     expanding = parsing | {"rootsphere.exact", "rootsphere.group_ring"}
     finite = expanding | {"rootsphere.quadric", "rootsphere.finite_root"}
     classifying = parsing | {"rootsphere.exact", "rootsphere.finite_root"}
+    affine = expanding | {"rootsphere.finite_root", "rootsphere.catalog", "rootsphere.affine_root"}
     cases = [
         (["--help"], 0, parsing),
         (["no-such-command"], 2, parsing),
@@ -443,6 +454,9 @@ def test_each_command_loads_only_its_modules(tmp_path):
         (["classify", rs, "--output", out], 0, classifying),
         (["classify", "catalog:B2", "--output", out], 0, classifying | {"rootsphere.catalog"}),
         (["denominator", "A2", "--output", out], 0, expanding | {"rootsphere.finite_root", "rootsphere.catalog"}),
+        (["macdonald", "A2", "--cutoff", "6", "--output", out], 0, affine),
+        (["check", "catalog-affine:A2", "--mode", "affine", "--cutoff", "6", "--output", out], 0,
+         affine | {"rootsphere.quadric"}),
     ]
     for argv, code, modules in cases:
         last = _fresh_python(
