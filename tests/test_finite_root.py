@@ -254,6 +254,12 @@ def test_enumerate_weyl_bound():
         enumerate_weyl([A, B, AB], bound=3)
 
 
+@pytest.mark.parametrize("fn", [enumerate_weyl, denominator_rhs])
+def test_empty_positive_system_is_refused(fn):
+    with pytest.raises(ValueError, match="empty positive system"):
+        fn([])
+
+
 def test_weyl_order_matches_enumeration():
     for roots in (A2_ROOTS, B2_ROOTS):
         rs = RootSystem(len(roots[0]), roots)

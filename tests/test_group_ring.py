@@ -187,6 +187,17 @@ def test_expand_signed_negative_mult_divides():
         expand_product(SignedSupportMap(1, {(Q(2),): 1, a: -2}))
 
 
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
+def test_expand_empty_map_is_one(dim):
+    assert expand_product(SupportMap(dim, {})) == one(dim)
+
+
+def test_expand_all_negative_signed_map_is_not_divisible():
+    # the empty product 1 divided by (1-e^a)(1-e^b)^2 is no Laurent polynomial
+    with pytest.raises(NotDivisibleError):
+        expand_product(SignedSupportMap(2, {(Q(1), Q(0)): -1, (Q(0), Q(1)): -2}))
+
+
 def test_expand_invariants_random():
     rng = random.Random(2024)
     sep = None
