@@ -38,7 +38,6 @@ from .finite_root import (
     Matrix,
     RootSystem,
     _components,
-    _lex_positive,
     _only_opposite_parallels,
     _orbit_walk,
     _reflection_closure,
@@ -109,6 +108,18 @@ def affine_reflection_matrix(a: AffineVector) -> Matrix:
 # -- support specifications ---------------------------------------------------------
 
 
+def _frame(dim: int, grading: AffineVector, cutoff) -> Fraction:
+    """The cutoff as a Fraction, once the grading and cutoff of a spec of dimension dim are checked."""
+    cutoff = rational(cutoff)
+    if grading.level <= 0:
+        raise ValueError("grading level must be positive")
+    if grading.dim != dim:
+        raise ValueError("dimension mismatch")
+    if cutoff <= 0:
+        raise ValueError("cutoff must be positive")
+    return cutoff
+
+
 class ExplicitAffineSupport(_Value):
     """A finite list of graded support items: (AffineVector, multiplicity) pairs.
 
@@ -119,13 +130,7 @@ class ExplicitAffineSupport(_Value):
     __slots__ = _fields = ("dim", "items", "grading", "cutoff")
 
     def __init__(self, dim: int, items: tuple, grading: AffineVector, cutoff: Fraction):
-        cutoff = rational(cutoff)
-        if grading.level <= 0:
-            raise ValueError("grading level must be positive")
-        if grading.dim != dim:
-            raise ValueError("dimension mismatch")
-        if cutoff <= 0:
-            raise ValueError("cutoff must be positive")
+        cutoff = _frame(dim, grading, cutoff)
         merged: dict[AffineVector, int] = {}
         for av, mult in items:
             if av.dim != dim:
@@ -155,7 +160,8 @@ class GeneratedAffineSupport(_Value):
     items, sorted by grade, then level, then part; items is not a field, so
     equality, hash and repr read the generating data only.  The constructor
     raises "grading not generic: a ladder hits grade 0" when a ladder point
-    has grade 0, and "empty support" when no item has grade in (0, cutoff].
+    has grade 0, "multiplicities must be positive" when there are no roots
+    (rank 0), and "empty support" when no item has grade in (0, cutoff].
     """
 
     _fields = ("dim", "roots", "grading", "cutoff", "period", "name")
@@ -170,13 +176,7 @@ class GeneratedAffineSupport(_Value):
         period: Fraction = Q(1),
         name: str = "",
     ):
-        cutoff, period = rational(cutoff), rational(period)
-        if grading.level <= 0:
-            raise ValueError("grading level must be positive")
-        if grading.dim != dim:
-            raise ValueError("dimension mismatch")
-        if cutoff <= 0:
-            raise ValueError("cutoff must be positive")
+        cutoff, period = _frame(dim, grading, cutoff), rational(period)
         if period <= 0:
             raise ValueError("period must be positive")
         self.dim, self.roots, self.grading = dim, RootSystem(dim, roots).roots, grading
@@ -191,6 +191,8 @@ class GeneratedAffineSupport(_Value):
                 raise ValueError("grading not generic: a ladder hits grade 0")
             items += [(AffineVector(k * period, a), 1) for k in range(floor(lo) + 1, floor(hi) + 1)]
         mult, iso = self.rank, zero_vector(dim)
+        if mult <= 0:
+            raise ValueError("multiplicities must be positive")
         items += [(AffineVector(k * period, iso), mult) for k in range(1, floor(cutoff / step) + 1)]
         if not items:
             raise ValueError("empty support")
@@ -430,9 +432,8 @@ def characterize_affine(spec: AffineSupportSpec) -> AffineVerdict:
         view = None
         levels_arithmetic = False
     if view is not None:
-        parts = sorted({av.part for av, _ in real})
-        proj = RootSystem(spec.dim, tuple(parts) + tuple(vneg(p) for p in parts))
-        base_dirs = tuple(base(_lex_positive(proj.roots)))
+        # the lexicographically positive one of each projected pair +-p is the greater
+        base_dirs = tuple(base({max(av.part, vneg(av.part)) for av, _ in real}))
         expected = imaginary_roots(view, base_dirs, spec.cutoff, spec.grading)
         imag_ok = expected == sorted(iso, key=lambda t: t[0].level)
 

@@ -26,7 +26,14 @@ def rational(text: str):
     return exact.rational(text)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, prefix: str) -> dict:
+    """The JSON object in the file path, for a command that reads a file or prefix + NAME.
+
+    Each caller reads its own catalog prefix first, so a path with a catalog
+    prefix here names the other one, and the error names what the command reads.
+    """
+    if path.startswith(("catalog:", "catalog-affine:")):
+        raise CliError(f"this command reads {prefix}NAME or a file, not {path}")
     import json
 
     with open(path, encoding="utf-8") as fh:
@@ -63,7 +70,7 @@ def _finite_map(src: str):
 
         entry = standard_finite(src[len("catalog:"):])
         return SupportMap(entry.ambient_dim, {a: 1 for a in entry.positive})
-    return support_map_from_json(_load_json(src), signed=True)
+    return support_map_from_json(_load_json(src, "catalog:"), signed=True)
 
 
 def _affine_spec(src: str, cutoff):
@@ -74,7 +81,7 @@ def _affine_spec(src: str, cutoff):
         from .affine_root import affine_vector_from_json, explicit_spec_from_json
         from .exact import json_field
 
-        data = _load_json(src)
+        data = _load_json(src, "catalog-affine:")
         if data.get("kind") != "generated":
             return explicit_spec_from_json(data)
         name = json_field(data, "name")
@@ -128,7 +135,7 @@ def _cmd_classify(args) -> dict:
 
         rs = standard_finite(src[len("catalog:"):]).roots
     else:
-        rs = root_system_from_json(_load_json(src))
+        rs = root_system_from_json(_load_json(src, "catalog:"))
     return {"type": classify(rs)}
 
 

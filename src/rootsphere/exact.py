@@ -22,12 +22,19 @@ class VerdictMismatchError(RuntimeError):
 
 
 def rational(x) -> Fraction:
-    """Coerce ints, strings like "3/5" or "-2", and Fractions to Fraction."""
+    """Coerce ints, strings like "3/5" or "-2", and Fractions to Fraction.
+
+    A zero denominator, as in "1/0", raises ValueError, the error of any
+    other string that names no rational.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         raise TypeError("floating point is not allowed; use Fraction or str")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {x!r}") from None
 
 
 def integer(x) -> int:
@@ -79,11 +86,11 @@ def vector(coords: Iterable) -> Vector:
 
 
 def json_vector(coords, where: str) -> Vector:
-    """vector(coords) for coordinates read from JSON at place where; a TypeError names the place."""
+    """vector(coords) for coordinates read from JSON at place where; a TypeError or ValueError names the place."""
     try:
         return vector(coords)
-    except TypeError as exc:
-        raise TypeError(f"{where}: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def zero_vector(dim: int) -> Vector:

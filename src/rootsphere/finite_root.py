@@ -423,15 +423,13 @@ def denominator_rhs(rplus, bound: int = DEFAULT_WEYL_BOUND) -> GroupRingElement:
     """Alternating sum over the reflection group: sum_w det(w) e^{rho - w(rho)}.
 
     It is summed as sum_w det(w) e^{rho - w^-1(rho)}, the same sum, since
-    w -> w^-1 permutes the group and keeps det.
+    w -> w^-1 permutes the group and keeps det.  enumerate_weyl coerces
+    rplus and refuses an empty one; the identity's key gives the dimension.
     """
     from .group_ring import GroupRingElement
 
-    pos = [vector(a) for a in rplus]
-    if not pos:
-        raise ValueError("empty positive system")
-    els = enumerate_weyl(pos, bound)
-    return GroupRingElement._from_ints(len(pos[0]), els[0].scale, {w.key: w.det for w in els})
+    els = enumerate_weyl(rplus, bound)
+    return GroupRingElement._from_ints(len(els[0].key), els[0].scale, {w.key: w.det for w in els})
 
 
 # -- classification ----------------------------------------------------------------

@@ -320,20 +320,19 @@ def expand_product(m: SupportMap) -> GroupRingElement:
     packed integer keys.  The packing base covers every coordinate of every
     partial product: coordinate j lies between sum m*min(0, s_j) and
     sum m*max(0, s_j).  ExpansionTooLargeError is raised once the
-    accumulator passes MAX_EXPANSION_TERMS.  A negative multiplicity (only a
-    SignedSupportMap has one) divides its factor out exactly, once per unit,
-    from the product of the positive factors; NotDivisibleError is raised
-    when the quotient is not a Laurent polynomial.
+    accumulator passes MAX_EXPANSION_TERMS.  With no positive multiplicity
+    the accumulator stays {0: 1}, the empty product one(dim).  A negative
+    multiplicity (only a SignedSupportMap has one) divides its factor out
+    exactly, once per unit, from the product of the positive factors;
+    NotDivisibleError is raised when the quotient is not a Laurent
+    polynomial.
     """
     entries = [(v, mult) for v, mult in m.items() if mult > 0]
-    if entries:
-        scale = _common_denominator(v for v, _ in entries)
-        keys = [(_int_key(v, scale), mult) for v, mult in entries]
-        pack, unpack, w = _packing(*_factor_box(keys, m.dim))
-        acc = _times_binomials([(pack(k), mult) for k, mult in keys], 1 << w)
-        out = GroupRingElement._from_ints(m.dim, scale, {unpack(k): c for k, c in acc.items()})
-    else:
-        out = one(m.dim)
+    scale = _common_denominator(v for v, _ in entries)
+    keys = [(_int_key(v, scale), mult) for v, mult in entries]
+    pack, unpack, w = _packing(*_factor_box(keys, m.dim))
+    acc = _times_binomials([(pack(k), mult) for k, mult in keys], 1 << w)
+    out = GroupRingElement._from_ints(m.dim, scale, {unpack(k): c for k, c in acc.items()})
     for v, mult in m.items():
         for _ in range(-mult):
             out = exact_divide(out, one(m.dim) - monomial(m.dim, v))

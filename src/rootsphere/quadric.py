@@ -12,7 +12,6 @@ from .exact import (
     _common_denominator,
     _int_key,
     solve_linear,
-    span_rank,
     vector,
 )
 
@@ -56,12 +55,14 @@ def _fit_sphere_keys(keys: list, den: int) -> SphereFit | None:
     2<B_i, B_j> t_j = |B_i|^2 and m the common denominator of t,
     c = m*k_0 + sum_j m*t_j*B_j is an integer vector, and the radius is
     r/(den*m)^2 with r = |m*k_0 - c|^2.  Each round looks for the first key
-    k with |m*k - c|^2 != r.  With none, the candidate is the answer.  When
-    k - k_0 lies in span(B), k sits in the hull of k_0 and B and off its
-    circumcenter's sphere, so it is off every sphere through those points,
-    and the answer is None.  Otherwise k - k_0 joins B and the scan starts
-    again from the first key, since a point that sat on the old sphere may
-    fall off the new one.
+    k with |m*k - c|^2 != r.  With none, the candidate is the answer.
+    Otherwise k - k_0 joins B and the Gram system is solved again; the scan
+    then starts again from the first key, since a point that sat on the old
+    sphere may fall off the new one.  The Gram solve decides independence:
+    B was independent, so the new Gram matrix is singular exactly when
+    k - k_0 lies in span(B).  Then k sits in the hull of k_0 and the old B
+    and off its circumcenter's sphere, so it is off every sphere through
+    those points, and the answer is None.
 
     The returned center lies in the hull of the keys and is at equal
     distance from all of them, so it is the hull circumcenter, which is
@@ -80,13 +81,10 @@ def _fit_sphere_keys(keys: list, den: int) -> SphereFit | None:
     basis: list[tuple[int, ...]] = []
     m, c, r = 1, k0, 0  # k_0 alone: its circumcenter is k_0, at radius 0
     while (off := next((k for k in keys if sum((m * x - y) ** 2 for x, y in zip(k, c)) != r), None)) is not None:
-        d = tuple(x - y for x, y in zip(off, k0))
-        if span_rank(basis + [d])[0] == len(basis):
-            return None
-        basis.append(d)
+        basis.append(tuple(x - y for x, y in zip(off, k0)))
         sol = solve_linear([[2 * _dot(a, b) for b in basis] for a in basis], [_dot(b, b) for b in basis])
         if sol.kind != "unique":
-            raise ArithmeticError("hull-restricted sphere system must be determined")
+            return None
         m = _common_denominator([sol.particular])
         u = _int_key(sol.particular, m)
         c = [m * x + _dot(u, column) for x, column in zip(k0, zip(*basis))]

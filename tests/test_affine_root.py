@@ -242,6 +242,9 @@ def test_enumerate_validation():
         GeneratedAffineSupport(1, (vector([1]), vector([1, 0])), affine(1, ["1/2"]), Q(1))
     with pytest.raises(ValueError, match="0 is not a root"):
         GeneratedAffineSupport(1, (vector([1]), vector([0])), affine(1, ["1/2"]), Q(1))
+    # no roots: rank 0 would give the isotropic items multiplicity 0
+    with pytest.raises(ValueError, match="multiplicities must be positive"):
+        GeneratedAffineSupport(1, (), affine(1, ["1/2"]), 2)
 
 
 def test_explicit_rejects_non_integer_multiplicities():

@@ -487,6 +487,30 @@ def test_cutoff_type_error_and_the_library_weyl_bound(capsys, monkeypatch):
 
 
 
+def test_a_zero_denominator_is_an_input_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "catalog-affine:A1", "--mode", "affine", "--cutoff", "1/0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid rational value: '1/0'" in err and "Traceback" not in err
+    src = write_json(tmp_path, "m.json", {"dim": 1, "support": [{"v": ["1/0"], "mult": 1}]})
+    assert run(capsys, "expand", src) == (2, "", "error: support[0]: zero denominator: '1/0'\n")
+
+
+@pytest.mark.parametrize(
+    "argv, reads",
+    [
+        (("check", "catalog:A1", "--mode", "affine"), "catalog-affine:NAME"),
+        (("expand", "catalog-affine:A1"), "catalog:NAME"),
+        (("check", "catalog-affine:A1"), "catalog:NAME"),
+        (("classify", "catalog-affine:A1"), "catalog:NAME"),
+    ],
+)
+def test_a_catalog_prefix_of_the_other_kind_names_the_source_the_command_reads(capsys, argv, reads):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: this command reads {reads} or a file, not {argv[1]}\n")
+
+
 def test_every_public_name_resolves_and_star_import_binds_them_all():
     out = _fresh_python(
         "import rootsphere\n"

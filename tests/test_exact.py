@@ -39,6 +39,18 @@ def test_rational_rejects_floats():
         vector([1, 0.5])
 
 
+def test_a_zero_denominator_is_a_value_error_and_json_names_its_place():
+    from rootsphere.exact import json_vector
+
+    for bad in ("1/0", "-3/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            rational(bad)
+    with pytest.raises(ValueError, match=r"^support\[0\]: zero denominator: '1/0'$"):
+        json_vector(["1", "1/0"], "support[0]")
+    with pytest.raises(ValueError, match=r"^roots\[2\]: Invalid literal"):
+        json_vector(["x"], "roots[2]")
+
+
 def test_integer_coercions():
     from rootsphere.exact import integer
 
