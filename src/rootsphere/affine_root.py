@@ -16,13 +16,11 @@ from .exact import (
     _common_denominator,
     _grade_bound,
     _int_key,
-    affine,
     inner,
     integer,
     is_zero,
     json_field,
     json_items,
-    json_vector,
     norm_sq,
     rational,
     span_rank,
@@ -108,13 +106,15 @@ def affine_reflection_matrix(a: AffineVector) -> Matrix:
 # -- support specifications ---------------------------------------------------------
 
 
-def _frame(dim: int, grading: AffineVector, cutoff) -> Fraction:
-    """The cutoff as a Fraction, once the grading and cutoff of a spec of dimension dim are checked."""
+def _frame(grading: AffineVector, cutoff) -> Fraction:
+    """The cutoff of a spec as a Fraction, once it and the grading level are checked to be positive.
+
+    A grading of another dimension than the spec's raises "dimension
+    mismatch" where grade() first pairs it with an item or a ladder root.
+    """
     cutoff = rational(cutoff)
     if grading.level <= 0:
         raise ValueError("grading level must be positive")
-    if grading.dim != dim:
-        raise ValueError("dimension mismatch")
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     return cutoff
@@ -130,7 +130,7 @@ class ExplicitAffineSupport(_Value):
     __slots__ = _fields = ("dim", "items", "grading", "cutoff")
 
     def __init__(self, dim: int, items: tuple, grading: AffineVector, cutoff: Fraction):
-        cutoff = _frame(dim, grading, cutoff)
+        cutoff = _frame(grading, cutoff)
         merged: dict[AffineVector, int] = {}
         for av, mult in items:
             if av.dim != dim:
@@ -176,7 +176,7 @@ class GeneratedAffineSupport(_Value):
         period: Fraction = Q(1),
         name: str = "",
     ):
-        cutoff, period = _frame(dim, grading, cutoff), rational(period)
+        cutoff, period = _frame(grading, cutoff), rational(period)
         if period <= 0:
             raise ValueError("period must be positive")
         self.dim, self.roots, self.grading = dim, RootSystem(dim, roots).roots, grading
@@ -435,7 +435,8 @@ def characterize_affine(spec: AffineSupportSpec) -> AffineVerdict:
         # the lexicographically positive one of each projected pair +-p is the greater
         base_dirs = tuple(base({max(av.part, vneg(av.part)) for av, _ in real}))
         expected = imaginary_roots(view, base_dirs, spec.cutoff, spec.grading)
-        imag_ok = expected == sorted(iso, key=lambda t: t[0].level)
+        # items are sorted by grade, and an isotropic item's grade is its level times grading.level > 0
+        imag_ok = expected == iso
 
     verdict = AffineVerdict(
         on_paraboloid=on_paraboloid,
@@ -462,7 +463,7 @@ def affine_vector_to_json(a: AffineVector) -> dict:
 
 
 def affine_vector_from_json(d: dict, where: str = "input") -> AffineVector:
-    return affine(json_field(d, "level", where), json_vector(json_field(d, "v", where), where))
+    return AffineVector(json_field(d, "level", where, rational), json_field(d, "v", where, vector))
 
 
 def explicit_spec_to_json(spec: ExplicitAffineSupport) -> dict:
@@ -476,16 +477,16 @@ def explicit_spec_to_json(spec: ExplicitAffineSupport) -> dict:
 
 
 def explicit_spec_from_json(d: dict) -> ExplicitAffineSupport:
-    dim = integer(json_field(d, "dim"))
+    dim = json_field(d, "dim", coerce=integer)
     items = tuple(
-        (affine_vector_from_json(item, where), integer(json_field(item, "mult", where)))
-        for where, item in json_items(d, "items")
+        (affine_vector_from_json(item, where), json_field(item, "mult", where, integer))
+        for where, item in json_items(d, "items").items()
     )
     return ExplicitAffineSupport(
         dim=dim,
         items=items,
         grading=affine_vector_from_json(json_field(d, "grading"), "grading"),
-        cutoff=rational(json_field(d, "cutoff")),
+        cutoff=json_field(d, "cutoff", coerce=rational),
     )
 
 

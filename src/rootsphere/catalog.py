@@ -265,7 +265,7 @@ def remark210_counterexample() -> tuple[SignedSupportMap, GroupRingElement, Sphe
     here genuinely needs the signed multiplicities.
     """
     from .group_ring import SignedSupportMap, expand_product
-    from .quadric import fit_sphere
+    from .quadric import _fit_sphere_keys
 
     alpha = vector([2, 0, 0, 0])
     beta = vector([-1, 1, 1, 1])
@@ -281,7 +281,7 @@ def remark210_counterexample() -> tuple[SignedSupportMap, GroupRingElement, Sphe
         },
     )
     quotient = expand_product(m)
-    fit = fit_sphere(quotient.support())
+    fit = _fit_sphere_keys(list(quotient._ints), quotient._scale)
     if fit is None:
         raise ArithmeticError("expected spherical support")
     return m, quotient, fit

@@ -20,7 +20,7 @@ class CliError(ValueError):
 
 
 def rational(text: str):
-    """--cutoff as a Fraction; argparse names this function in its error for a bad value."""
+    """A cutoff, given by --cutoff or read from a file, as a Fraction; argparse names this function in its error."""
     from . import exact
 
     return exact.rational(text)
@@ -88,7 +88,8 @@ def _affine_spec(src: str, cutoff):
         if not isinstance(name, str):
             raise CliError('input: field "name" must be a string')
         grading = affine_vector_from_json(data["grading"], "grading") if "grading" in data else None
-        cutoff = cutoff if cutoff is not None else data.get("cutoff")
+        if cutoff is None and data.get("cutoff") is not None:
+            cutoff = json_field(data, "cutoff", coerce=rational)
     if cutoff is None:
         raise CliError("--cutoff is required for affine input")
     from .catalog import untwisted_affine

@@ -53,29 +53,38 @@ def integer(x) -> int:
     return q.numerator
 
 
-def json_field(d, name: str, where: str = "input"):
-    """Field name of the JSON object d, which sits at place where (such as "support[0]").
+def json_field(d, name: str, where: str = "input", coerce=None):
+    """Field name of the JSON object d, which sits at place where (such as "support[0]"), read through coerce.
 
     ValueError reads "<where>: expected an object" when d is not an object,
-    and '<where>: missing field "<name>"' when it has no such field.
+    and '<where>: missing field "<name>"' when it has no such field.  A
+    TypeError or ValueError of coerce(value) is raised again, of its type,
+    with the place prefixed: the field's name for a field of the input
+    itself ("dim: ..."), where for a field of an entry ("support[0]: ...").
     """
     if not isinstance(d, dict):
         raise ValueError(f"{where}: expected an object")
     if name not in d:
         raise ValueError(f'{where}: missing field "{name}"')
-    return d[name]
+    if coerce is None:
+        return d[name]
+    try:
+        return coerce(d[name])
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{name if where == 'input' else where}: {exc}") from None
 
 
-def json_items(d, name: str, where: str = "input") -> list[tuple[str, object]]:
-    """(place, entry) pairs of the list field name of the JSON object d; place reads like "support[0]".
+def json_items(d, name: str, where: str = "input") -> dict[str, object]:
+    """The entries of the list field name of the JSON object d, keyed by their place, like "support[0]".
 
-    Besides json_field's errors, ValueError reads '<where>: field "<name>"
-    must be a list' when the field is not a list.
+    So json_field(entries, place, coerce=...) reads one entry and names its
+    place in an error.  Besides json_field's errors, ValueError reads
+    '<where>: field "<name>" must be a list' when the field is not a list.
     """
     items = json_field(d, name, where)
     if not isinstance(items, list):
         raise ValueError(f'{where}: field "{name}" must be a list')
-    return [(f"{name}[{i}]", item) for i, item in enumerate(items)]
+    return {f"{name}[{i}]": item for i, item in enumerate(items)}
 
 
 def vector(coords: Iterable) -> Vector:
@@ -83,14 +92,6 @@ def vector(coords: Iterable) -> Vector:
     if isinstance(coords, str):
         raise TypeError(f"expected a list of coordinates, not the string {coords!r}")
     return tuple(rational(c) for c in coords)
-
-
-def json_vector(coords, where: str) -> Vector:
-    """vector(coords) for coordinates read from JSON at place where; a TypeError or ValueError names the place."""
-    try:
-        return vector(coords)
-    except (TypeError, ValueError) as exc:
-        raise type(exc)(f"{where}: {exc}") from None
 
 
 def zero_vector(dim: int) -> Vector:

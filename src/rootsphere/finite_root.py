@@ -22,7 +22,6 @@ from .exact import (
     integer,
     json_field,
     json_items,
-    json_vector,
     norm_sq,
     span_rank,
     vadd,
@@ -608,8 +607,9 @@ def root_system_to_json(rs: RootSystem) -> dict:
 
 
 def root_system_from_json(d: dict) -> RootSystem:
-    dim = integer(json_field(d, "dim"))
-    return RootSystem(dim, tuple(json_vector(r, where) for where, r in json_items(d, "roots")))
+    dim = json_field(d, "dim", coerce=integer)
+    roots = json_items(d, "roots")
+    return RootSystem(dim, tuple(json_field(roots, where, coerce=vector) for where in roots))
 
 
 def axiom_report_to_json(rep: AxiomReport) -> dict:

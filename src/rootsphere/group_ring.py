@@ -17,7 +17,6 @@ from .exact import (
     integer,
     json_field,
     json_items,
-    json_vector,
     rational,
     vector,
     vneg,
@@ -387,13 +386,12 @@ def exact_divide(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     Keys are packed: the base covers a's box, which holds every remainder
     term, and every candidate t = lt(r) - lt(b) before the window test.
     Packed order is lexicographic order, so the heap pops the same terms.
+    A zero dividend leaves the remainder empty, and the quotient is zero.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     if not len(b):
         raise ZeroDivisionError("division by the zero element")
-    if not len(a):
-        return GroupRingElement(a.dim, {})
 
     scale, (ia, ib) = _common_ints(a, b)
     (alo, ahi), (blo, bhi) = _box(ia), _box(ib)
@@ -456,7 +454,7 @@ def _term_to_json(v: list[str], c: int) -> dict:
 
 
 def element_from_json(d: dict) -> GroupRingElement:
-    dim = integer(json_field(d, "dim"))
+    dim = json_field(d, "dim", coerce=integer)
     return GroupRingElement(dim, _summed(dim, _json_pairs(d, "terms", "c")))
 
 
@@ -468,12 +466,12 @@ def support_map_to_json(m: SupportMap) -> dict:
 
 
 def support_map_from_json(d: dict, signed: bool = False) -> SupportMap:
-    dim = integer(json_field(d, "dim"))
+    dim = json_field(d, "dim", coerce=integer)
     entries = _summed(dim, _json_pairs(d, "support", "mult"))
     return (SignedSupportMap if signed else SupportMap)(dim, entries)
 
 
 def _json_pairs(d: dict, name: str, coeff: str):
-    """(v, coefficient) of each object in the list d[name], the coefficient under key coeff."""
-    for where, item in json_items(d, name):
-        yield json_vector(json_field(item, "v", where), where), json_field(item, coeff, where)
+    """(v, coefficient) of each object in the list d[name], the integer coefficient under key coeff."""
+    for where, item in json_items(d, name).items():
+        yield json_field(item, "v", where, vector), json_field(item, coeff, where, integer)

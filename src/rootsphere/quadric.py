@@ -68,7 +68,8 @@ def _fit_sphere_keys(keys: list, den: int) -> SphereFit | None:
     distance from all of them, so it is the hull circumcenter, which is
     unique: which points the scan takes into B cannot change it.  The last
     scan is the one exact check of exactly the returned center and radius
-    on every key.
+    on every key.  Two distinct keys are not both at distance 0 from one
+    center, so the radius of two or more keys is positive.
     """
     if not keys:
         raise ValueError("no points")
@@ -89,8 +90,6 @@ def _fit_sphere_keys(keys: list, den: int) -> SphereFit | None:
         u = _int_key(sol.particular, m)
         c = [m * x + _dot(u, column) for x, column in zip(k0, zip(*basis))]
         r = sum((m * x - y) ** 2 for x, y in zip(k0, c))
-    if r == 0:
-        raise ArithmeticError("zero radius with distinct points")
     scale = den * m
     return SphereFit(tuple(Q(x, scale) for x in c), Q(r, scale * scale))
 

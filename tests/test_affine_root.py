@@ -245,6 +245,12 @@ def test_enumerate_validation():
     # no roots: rank 0 would give the isotropic items multiplicity 0
     with pytest.raises(ValueError, match="multiplicities must be positive"):
         GeneratedAffineSupport(1, (), affine(1, ["1/2"]), 2)
+    # the grading's dimension is checked where grade() pairs it with an item or a root, so a spec
+    # with neither is refused for being empty
+    with pytest.raises(ValueError, match="^empty support$"):
+        ExplicitAffineSupport(dim=3, items=(), grading=affine(1, [1]), cutoff=Q(3))
+    with pytest.raises(ValueError, match="^multiplicities must be positive$"):
+        GeneratedAffineSupport(3, (), affine(1, [1]), Q(3))
 
 
 def test_explicit_rejects_non_integer_multiplicities():

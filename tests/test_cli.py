@@ -416,6 +416,61 @@ def test_missing_json_fields_are_named_with_their_place(tmp_path, capsys):
             {"kind": "generated", "name": "A1", "grading": {"level": "1", "v": "0"}, "cutoff": "2"},
             "grading: expected a list of coordinates, not the string '0'",
         ),
+        # a number that is not one names its place too: a field of the input by its name, a field
+        # of an entry by the entry
+        (
+            ("expand",),
+            {"dim": 1, "support": [{"v": ["1"], "mult": "x"}]},
+            "support[0]: Invalid literal for Fraction: 'x'",
+        ),
+        (("check",), {"dim": 1, "support": [{"v": ["1"], "mult": True}]}, "support[0]: a boolean is not an integer"),
+        (
+            ("expand",),
+            {"dim": 1, "support": [{"v": ["1"], "mult": 1.5}]},
+            "support[0]: floating point is not allowed; use Fraction or str",
+        ),
+        (("expand",), {"dim": "x", "support": []}, "dim: Invalid literal for Fraction: 'x'"),
+        (("classify",), {"dim": "x", "roots": []}, "dim: Invalid literal for Fraction: 'x'"),
+        (
+            ("check", "--mode", "affine"),
+            {"dim": 1, "items": [], "grading": {"level": "1/0", "v": ["0"]}, "cutoff": "2"},
+            "grading: zero denominator: '1/0'",
+        ),
+        (
+            ("check", "--mode", "affine"),
+            {
+                "dim": 1,
+                "items": [{"level": "x", "v": ["1"], "mult": 1}],
+                "grading": {"level": "1", "v": ["0"]},
+                "cutoff": "2",
+            },
+            "items[0]: Invalid literal for Fraction: 'x'",
+        ),
+        (
+            ("check", "--mode", "affine"),
+            {
+                "dim": 1,
+                "items": [{"level": "1", "v": ["1"], "mult": "2/3"}],
+                "grading": {"level": "1", "v": ["0"]},
+                "cutoff": "2",
+            },
+            "items[0]: not an integer: '2/3'",
+        ),
+        (
+            ("check", "--mode", "affine"),
+            {"dim": 1, "items": [], "grading": {"level": "1", "v": ["0"]}, "cutoff": "x"},
+            "cutoff: Invalid literal for Fraction: 'x'",
+        ),
+        (
+            ("check", "--mode", "affine"),
+            {"kind": "generated", "name": "A1", "cutoff": "1/0"},
+            "cutoff: zero denominator: '1/0'",
+        ),
+        (
+            ("check", "--mode", "affine"),
+            {"kind": "generated", "name": "A1", "grading": {"level": "y", "v": ["1/2"]}, "cutoff": "2"},
+            "grading: Invalid literal for Fraction: 'y'",
+        ),
     ]
     for argv, data, message in cases:
         src = write_json(tmp_path, "in.json", data)

@@ -40,15 +40,33 @@ def test_rational_rejects_floats():
 
 
 def test_a_zero_denominator_is_a_value_error_and_json_names_its_place():
-    from rootsphere.exact import json_vector
+    from rootsphere.exact import json_field, json_items
 
     for bad in ("1/0", "-3/0"):
         with pytest.raises(ValueError, match="zero denominator"):
             rational(bad)
     with pytest.raises(ValueError, match=r"^support\[0\]: zero denominator: '1/0'$"):
-        json_vector(["1", "1/0"], "support[0]")
+        json_field({"v": ["1", "1/0"]}, "v", "support[0]", vector)
+    roots = json_items({"roots": [["1"], ["2"], ["x"]]}, "roots")
+    assert list(roots) == ["roots[0]", "roots[1]", "roots[2]"]
     with pytest.raises(ValueError, match=r"^roots\[2\]: Invalid literal"):
-        json_vector(["x"], "roots[2]")
+        json_field(roots, "roots[2]", coerce=vector)
+
+
+def test_the_json_reader_names_a_field_of_the_input_by_its_name_and_keeps_the_error_type():
+    from rootsphere.exact import integer, json_field
+
+    assert json_field({"dim": "3"}, "dim", coerce=integer) == 3
+    assert json_field({"dim": "3"}, "dim") == "3"
+    with pytest.raises(ValueError, match=r"^dim: Invalid literal for Fraction: 'x'$"):
+        json_field({"dim": "x"}, "dim", coerce=integer)
+    with pytest.raises(TypeError, match=r"^items\[1\]: a boolean is not an integer$"):
+        json_field({"mult": True}, "mult", "items[1]", integer)
+    with pytest.raises(TypeError, match=r"^support\[0\]: expected a list of coordinates, not the string '12'$"):
+        json_field({"v": "12"}, "v", "support[0]", vector)
+    # an error of the object or the field itself is not prefixed twice
+    with pytest.raises(ValueError, match=r'^grading: missing field "level"$'):
+        json_field({}, "level", "grading", integer)
 
 
 def test_integer_coercions():

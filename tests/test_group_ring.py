@@ -348,6 +348,10 @@ def test_exact_divide_zero_cases():
     assert exact_divide(GroupRingElement(1, {}), den) == GroupRingElement(1, {})
     with pytest.raises(ZeroDivisionError):
         exact_divide(den, GroupRingElement(1, {}))
+    # zero over a divisor off the integers, in dimensions 0-3: equality also compares the scale, which must be 1
+    for d in range(4):
+        for den in (monomial(d, (Q(1, 2),) * d, 2), one(d) - monomial(d, (Q(1, 3),) * d) if d else one(0)):
+            assert exact_divide(GroupRingElement(d, {}), den) == GroupRingElement(d, {}), (d, den)
 
 
 def test_exact_divide_round_trip():
