@@ -255,9 +255,17 @@ def decompose(roots) -> AffineView:
 
 
 def imaginary_roots(view: AffineView, base_dirs, cutoff, grading: AffineVector) -> list[tuple[AffineVector, int]]:
-    """Isotropic items k*(u_a; 0) over ladder base directions, with counting multiplicity."""
+    """Isotropic items k*(u_a; 0) over ladder base directions, with counting multiplicity.
+
+    For each base direction a with a ladder of spacing u_a, the items are
+    k*(u_a; 0) for k = 1, 2, ... while k * u_a * level <= cutoff, so a
+    cutoff <= 0 gives none.  A grading level that is not positive raises
+    ValueError("grading level must be positive").
+    """
     cutoff = rational(cutoff)
     p1 = grading.level
+    if p1 <= 0:
+        raise ValueError("grading level must be positive")
     counts: dict[Fraction, int] = {}
     dim = grading.dim
     for b in base_dirs:
@@ -265,10 +273,8 @@ def imaginary_roots(view: AffineView, base_dirs, cutoff, grading: AffineVector) 
         if b not in view.u:
             continue
         ua = view.u[b]
-        k = 1
-        while k * ua * p1 <= cutoff:
+        for k in range(1, floor(cutoff / (ua * p1)) + 1):
             counts[k * ua] = counts.get(k * ua, 0) + 1
-            k += 1
     return [(AffineVector(level, zero_vector(dim)), counts[level]) for level in sorted(counts)]
 
 
@@ -361,12 +367,14 @@ def affine_weyl_rhs(spec: AffineSupportSpec, bound: int = DEFAULT_WEYL_BOUND) ->
     cutoff 2/3 some reflection coefficient is not an integer, the walk
     leaves the integer keys and the sum keeps (8/3; -7/2), of grade exactly
     the cutoff; such a sum need not equal the truncated product.
+
+    A spec that is not a GeneratedAffineSupport raises ValueError.  The
+    base is never empty: a generated spec holds a real item, and its real
+    item of least grade is not a sum of two items.
     """
     if not isinstance(spec, GeneratedAffineSupport):
         raise ValueError("affine Weyl sum needs a generated spec")
     simples = _affine_base(spec.items, spec.grading)
-    if not simples:
-        raise ValueError("empty affine base")
     roots = [a.flatten() for a in simples]
     mirrors = [(Q(0),) + a.part for a in simples]
     nodes, scale = _orbit_walk(mirrors, roots, roots, bound, spec.grading.flatten(), spec.cutoff)

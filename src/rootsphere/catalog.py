@@ -6,7 +6,7 @@ from itertools import combinations, product
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
-from .exact import AffineVector, Q, Vector, inner, rational, vector, vscale
+from .exact import AffineVector, Q, Vector, inner, vector, vscale
 from .finite_root import RootSystem, _component_order, weyl_vector
 
 if TYPE_CHECKING:
@@ -96,13 +96,7 @@ def _parse_name(name: str) -> tuple[str, int]:
 def _build_roots(letter: str, n: int) -> tuple[int, list[Vector]]:
     """Ambient dimension and root list for a validated name."""
     if letter == "A" and n >= 1:
-        roots = []
-        for i, j in combinations(range(n + 1), 2):
-            v = [Q(0)] * (n + 1)
-            v[i], v[j] = Q(1), Q(-1)
-            roots.append(tuple(v))
-            roots.append(tuple(-c for c in v))
-        return n + 1, roots
+        return n + 1, [a for a in _pm_pairs(n + 1, range(n + 1)) if sum(a) == 0]
     if letter == "B" and n >= 2:
         roots = _pm_pairs(n, range(n))
         roots += [_axis(n, i, s) for i in range(n) for s in (1, -1)]
@@ -170,7 +164,7 @@ def untwisted_affine(name: str, cutoff, grading: AffineVector | None = None) -> 
         dim=entry.ambient_dim,
         roots=entry.roots.roots,
         grading=grading,
-        cutoff=rational(cutoff),
+        cutoff=cutoff,
         period=Q(1),
         name=entry.name,
     )

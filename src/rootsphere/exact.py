@@ -74,16 +74,16 @@ def json_field(d, name: str, where: str = "input", coerce=None):
         raise type(exc)(f"{name if where == 'input' else where}: {exc}") from None
 
 
-def json_items(d, name: str, where: str = "input") -> dict[str, object]:
-    """The entries of the list field name of the JSON object d, keyed by their place, like "support[0]".
+def json_items(d, name: str) -> dict[str, object]:
+    """The entries of the list field name of the JSON input d, keyed by their place, like "support[0]".
 
     So json_field(entries, place, coerce=...) reads one entry and names its
-    place in an error.  Besides json_field's errors, ValueError reads
-    '<where>: field "<name>" must be a list' when the field is not a list.
+    place in an error.  Besides json_field's errors for the input, ValueError
+    reads 'input: field "<name>" must be a list' when the field is not a list.
     """
-    items = json_field(d, name, where)
+    items = json_field(d, name)
     if not isinstance(items, list):
-        raise ValueError(f'{where}: field "{name}" must be a list')
+        raise ValueError(f'input: field "{name}" must be a list')
     return {f"{name}[{i}]": item for i, item in enumerate(items)}
 
 

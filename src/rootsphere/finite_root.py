@@ -435,24 +435,23 @@ def denominator_rhs(rplus, bound: int = DEFAULT_WEYL_BOUND) -> GroupRingElement:
 
 
 def _components(vectors) -> list[list[int]]:
-    """Connected components of the non-orthogonality graph, as lists of indices."""
-    n = len(vectors)
-    comp = list(range(n))
+    """Connected components of the non-orthogonality graph, as lists of indices.
 
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sum(map(mul, vectors[i], vectors[j])) != 0:
-                comp[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    The components come in the order of their least index, and the indices
+    of each in ascending order; a zero vector is a component of its own.
+    Each component grows from the least index not yet reached.
+    """
+    rest = list(range(len(vectors)))
+    components = []
+    while rest:
+        component, rest = rest[:1], rest[1:]
+        for i in component:
+            far = []
+            for j in rest:
+                (component if sum(map(mul, vectors[i], vectors[j])) else far).append(j)
+            rest = far
+        components.append(sorted(component))
+    return components
 
 
 def _root_orbit(keys) -> set[tuple[int, ...]]:

@@ -47,17 +47,18 @@ class GroupRingElement(_Value):
     The one state is (scale, ints): integer key k stands for the vector
     k/scale, scale being the lcm of the denominators of the coordinates
     present (1 for the zero element), so the pair is canonical and equality
-    compares it.  The public constructor coerces the keys, checks their
-    length, sums the coefficients of keys that coerce to one vector and
-    drops zeros; a kernel builds the pair directly.  .terms, the dict keyed
-    by Fraction tuples, is a view built on each read, and repr shows it.
+    compares it.  The public constructor takes terms as a dict or as
+    (vector, coefficient) pairs, coerces the keys, checks their length, sums
+    the coefficients of keys that coerce to one vector and drops zeros; a
+    kernel builds the pair directly.  .terms, the dict keyed by Fraction
+    tuples, is a view built on each read, and repr shows it.
     """
 
     __slots__ = _fields = ("dim", "_scale", "_ints")
     __hash__ = None
 
-    def __init__(self, dim: int, terms: dict | None = None):
-        clean = _summed(dim, (terms or {}).items())
+    def __init__(self, dim: int, terms: dict | Iterable | None = None):
+        clean = _summed(dim, terms or {})
         self.dim, self._scale = dim, _common_denominator(clean)
         self._ints = {_int_key(v, self._scale): c for v, c in clean.items()}
 
@@ -122,14 +123,14 @@ class GroupRingElement(_Value):
 
 
 def _summed(dim: int, pairs) -> dict:
-    """Coefficients of the (vector, int) pairs keyed by coerced vector of length dim.
+    """Coefficients of the (vector, int) pairs, or of a dict's items, keyed by coerced vector of length dim.
 
     Pairs whose vectors coerce to one key are summed, then zeros dropped.
     """
     if dim < 0:
         raise ValueError("dim must be >= 0")
     out: dict = {}
-    for v, c in pairs:
+    for v, c in pairs.items() if isinstance(pairs, dict) else pairs:
         v = vector(v)
         if len(v) != dim:
             raise ValueError("dimension mismatch")
@@ -171,8 +172,9 @@ def support(x: GroupRingElement) -> list[Vector]:
 class SupportMap(_Value):
     """Finite multiplicity function m with m(0) = 0 and positive values.
 
-    The constructor sums the multiplicities of keys that coerce to one
-    vector and drops zeros.
+    The constructor takes entries as a dict or as (vector, multiplicity)
+    pairs, sums the multiplicities of keys that coerce to one vector and
+    drops zeros.
     """
 
     __slots__ = _fields = ("dim", "entries")
@@ -180,8 +182,8 @@ class SupportMap(_Value):
 
     _signed = False
 
-    def __init__(self, dim: int, entries: dict | None = None):
-        clean = _summed(dim, (entries or {}).items())
+    def __init__(self, dim: int, entries: dict | Iterable | None = None):
+        clean = _summed(dim, entries or {})
         for v, m in clean.items():
             if all(c == 0 for c in v):
                 raise ValueError("m(0) must be 0")
@@ -203,22 +205,18 @@ class SignedSupportMap(SupportMap):
 
 
 def shift_equivalent(m: SupportMap, b) -> SupportMap:
-    """Move one unit of multiplicity from b to -b (the sign-flip move)."""
+    """Move one unit of multiplicity from b to -b (the sign-flip move).
+
+    A multiplicity that reaches 0 leaves the result, since the constructor
+    of m's type drops zeros.
+    """
     b = vector(b)
     entries = dict(m.entries)
-    cur = entries.get(b, 0)
-    if cur <= 0:
+    if entries.get(b, 0) <= 0:
         raise ValueError("b must be a key of m with positive multiplicity")
-    if cur == 1:
-        del entries[b]
-    else:
-        entries[b] = cur - 1
     nb = vneg(b)
-    nc = entries.get(nb, 0) + 1
-    if nc == 0:
-        del entries[nb]
-    else:
-        entries[nb] = nc
+    entries[b] -= 1
+    entries[nb] = entries.get(nb, 0) + 1
     return type(m)(m.dim, entries)
 
 
@@ -455,7 +453,7 @@ def _term_to_json(v: list[str], c: int) -> dict:
 
 def element_from_json(d: dict) -> GroupRingElement:
     dim = json_field(d, "dim", coerce=integer)
-    return GroupRingElement(dim, _summed(dim, _json_pairs(d, "terms", "c")))
+    return GroupRingElement(dim, _json_pairs(d, "terms", "c"))
 
 
 def support_map_to_json(m: SupportMap) -> dict:
@@ -467,8 +465,7 @@ def support_map_to_json(m: SupportMap) -> dict:
 
 def support_map_from_json(d: dict, signed: bool = False) -> SupportMap:
     dim = json_field(d, "dim", coerce=integer)
-    entries = _summed(dim, _json_pairs(d, "support", "mult"))
-    return (SignedSupportMap if signed else SupportMap)(dim, entries)
+    return (SignedSupportMap if signed else SupportMap)(dim, _json_pairs(d, "support", "mult"))
 
 
 def _json_pairs(d: dict, name: str, coeff: str):

@@ -319,6 +319,19 @@ def test_imaginary_roots_a1():
     assert imaginary_roots(view, [], Q(2), affine(1, ["1/2"])) == []
 
 
+@pytest.mark.parametrize("level", ["0", "-1"])
+def test_imaginary_roots_refuse_a_grading_level_that_is_not_positive(level):
+    view = decompose([AffineVector(Q(k), (Q(1),)) for k in (0, 1)])
+    with pytest.raises(ValueError, match="^grading level must be positive$"):
+        imaginary_roots(view, [vector([1])], Q(2), AffineVector(Q(level), (Q(1, 2),)))
+
+
+def test_imaginary_roots_below_a_cutoff_that_is_not_positive_are_none():
+    view = decompose([AffineVector(Q(k), (Q(1),)) for k in (0, 1)])
+    for cutoff in (Q(0), Q(-1)):
+        assert imaginary_roots(view, [vector([1])], cutoff, affine(1, ["1/2"])) == []
+
+
 def test_imaginary_roots_match_generated_a2():
     from rootsphere.finite_root import RootSystem, base, positive_roots
     from rootsphere.exact import vneg

@@ -11,6 +11,7 @@ from rootsphere.finite_root import (
     GroupTooLargeError,
     RootSystem,
     _classify_components,
+    _components,
     base,
     characterize_finite,
     check_axioms,
@@ -413,6 +414,41 @@ def test_classify_names():
             classify(rs)
         with pytest.raises(ValueError, match="not a root system"):
             weyl_order(rs.roots)
+
+
+def test_components_by_least_member_with_members_ascending():
+    vectors = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, 0)]
+    assert _components([vector(v) for v in vectors]) == [[0, 1, 2], [3], [4]]
+
+
+@pytest.mark.parametrize("names, expected, order", [
+    (("A2", "B2"), "A2×B2", 48),
+    (("G2", "A1", "A1"), "G2×A1×A1", 48),
+    (("D4", "A3"), "D4×A3", 4608),
+    (("B3", "B3"), "B3×B3", 2304),
+    (("A1", "E6"), "E6×A1", 103680),
+])
+def test_classify_and_weyl_order_of_catalog_products(names, expected, order):
+    from rootsphere.catalog import standard_finite
+
+    # each factor's catalog roots in its own block of coordinates
+    entries = [standard_finite(name) for name in names]
+    dim = sum(e.ambient_dim for e in entries)
+    roots, offset = [], 0
+    for e in entries:
+        pad = (Q(0),) * (dim - offset - e.ambient_dim)
+        roots += [(Q(0),) * offset + a + pad for a in e.roots.roots]
+        offset += e.ambient_dim
+    assert classify(RootSystem(dim, roots)) == expected
+    assert weyl_order(roots) == order
+
+
+def test_orbit_walk_refuses_a_rho_on_a_mirror():
+    # rho = (0, 1/2) lies on the mirror of (1, 0), so two group elements share s(w)
+    rplus = [vector([1, 0]), vector([-1, 1])]
+    for f in (enumerate_weyl, denominator_rhs):
+        with pytest.raises(ArithmeticError, match=r"^orbit collision: w -> s\(w\) was not injective$"):
+            f(rplus)
 
 
 def test_classify_names_exactly_the_sets_that_pass_the_axioms():

@@ -386,6 +386,11 @@ def test_shift_equivalent_involution_and_errors():
         shift_equivalent(sm, (Q(1),))
 
 
+def test_shift_equivalent_cancels_a_negative_multiplicity():
+    m = SignedSupportMap(1, {(Q(1),): 1, (Q(-1),): -1})
+    assert shift_equivalent(m, (Q(1),)).entries == {}
+
+
 def test_shift_identity_on_expansion():
     # flipping one factor's sign of the support key negates and twists
     # the whole expansion by exactly that monomial
