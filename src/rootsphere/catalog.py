@@ -6,7 +6,7 @@ from itertools import combinations, product
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
-from .exact import AffineVector, Q, Vector, inner, vector, vscale
+from .exact import AffineVector, Q, Vector, _int_key, inner, vector, vscale
 from .finite_root import RootSystem, _component_order, weyl_vector
 
 if TYPE_CHECKING:
@@ -259,7 +259,7 @@ def remark210_counterexample() -> tuple[SignedSupportMap, GroupRingElement, Sphe
     here genuinely needs the signed multiplicities.
     """
     from .group_ring import SignedSupportMap, expand_product
-    from .quadric import _fit_sphere_keys
+    from .quadric import _sphere_about
 
     alpha = vector([2, 0, 0, 0])
     beta = vector([-1, 1, 1, 1])
@@ -275,7 +275,8 @@ def remark210_counterexample() -> tuple[SignedSupportMap, GroupRingElement, Sphe
         },
     )
     quotient = expand_product(m)
-    fit = _fit_sphere_keys(list(quotient._ints), quotient._scale)
+    # sum m(s)*s = 2*gamma: the support is symmetric about rho_m = gamma (see characterize_finite)
+    fit = _sphere_about(list(quotient._ints), quotient._scale, 1, _int_key(gamma, quotient._scale))
     if fit is None:
         raise ArithmeticError("expected spherical support")
     return m, quotient, fit

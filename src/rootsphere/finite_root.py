@@ -560,14 +560,21 @@ def characterize_finite(m: SupportMap) -> FiniteVerdict:
     support of the expansion.  Axiomatic route: S and -S disjoint, all
     multiplicities 1, and S union -S passes the root-system axioms relative
     to its span.  Disagreement raises VerdictMismatchError.
+
+    The witness is centered at rho_m = 1/2 sum m(s)*s: the coefficient at
+    2*rho_m - x is (-1)^(sum m) times the one at x, as
+    1 - e^-s = -e^-s (1 - e^s), and the hull circumcenter is unique.
+    2*rho_m = x + (2*rho_m - x) has an integer key.  A one-point support,
+    rho_m itself (0 for an empty S), keeps fit_sphere's witness, one unit
+    along e_1 at radius 1 (none in dimension 0): the library refuses radius 0.
     """
     from .group_ring import expand_product
-    from .quadric import _fit_sphere_keys
+    from .quadric import _fit_sphere_keys, _sphere_about
 
     expansion = expand_product(m)
-    # the keys unsorted: the witness is unique, so the order cannot change it
-    scale, ints = expansion._scale, expansion._ints
-    fit = _fit_sphere_keys(list(ints), scale)
+    keys, scale = list(expansion._ints), expansion._scale
+    two_rho = map(sum, zip(*(vscale(k, v) for v, k in m.entries.items())))
+    fit = _sphere_about(keys, scale, 2, _int_key(two_rho, scale)) if len(keys) > 1 else _fit_sphere_keys(keys, scale)
     on_sphere = fit is not None
 
     s = set(m.entries)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .exact import (
@@ -12,6 +13,7 @@ from .exact import (
     _common_denominator,
     _int_key,
     solve_linear,
+    span_rank,
     vector,
 )
 
@@ -27,11 +29,11 @@ class ParaboloidFit(NamedTuple):
 
 
 def _dot(u, v) -> int:
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def fit_sphere(points) -> SphereFit | None:
-    """Exact common sphere through the points, or None when there is none.
+    """Exact common sphere through any finite set of points (the general fit), or None when there is none.
 
     The witness center is the circumcenter of the affine hull of the points:
     the one point of the hull at equal distance from all of them.  It is
@@ -49,27 +51,10 @@ def fit_sphere(points) -> SphereFit | None:
 def _fit_sphere_keys(keys: list, den: int) -> SphereFit | None:
     """fit_sphere of the points k/den, for distinct integer keys k of one length.
 
-    One scan grows a basis B of differences k - k_0 from points off the
-    current sphere.  The candidate center is c/(den*m), the circumcenter of
-    k_0 and the points taken into B: with t solving the Gram system
-    2<B_i, B_j> t_j = |B_i|^2 and m the common denominator of t,
-    c = m*k_0 + sum_j m*t_j*B_j is an integer vector, and the radius is
-    r/(den*m)^2 with r = |m*k_0 - c|^2.  Each round looks for the first key
-    k with |m*k - c|^2 != r.  With none, the candidate is the answer.
-    Otherwise k - k_0 joins B and the Gram system is solved again; the scan
-    then starts again from the first key, since a point that sat on the old
-    sphere may fall off the new one.  The Gram solve decides independence:
-    B was independent, so the new Gram matrix is singular exactly when
-    k - k_0 lies in span(B).  Then k sits in the hull of k_0 and the old B
-    and off its circumcenter's sphere, so it is off every sphere through
-    those points, and the answer is None.
-
-    The returned center lies in the hull of the keys and is at equal
-    distance from all of them, so it is the hull circumcenter, which is
-    unique: which points the scan takes into B cannot change it.  The last
-    scan is the one exact check of exactly the returned center and radius
-    on every key.  Two distinct keys are not both at distance 0 from one
-    center, so the radius of two or more keys is positive.
+    span_rank picks a basis B of the differences k - k_0.  With t solving
+    2<B_i, B_j> t_j = |B_i|^2 (unique, as B is independent),
+    (k_0 + sum_j t_j*B_j)/den is the one point of the hull at equal distance
+    from k_0 and the picked keys: the hull circumcenter, if the keys have one.
     """
     if not keys:
         raise ValueError("no points")
@@ -79,19 +64,23 @@ def _fit_sphere_keys(keys: list, den: int) -> SphereFit | None:
             raise ValueError("no sphere in dimension 0: its one point has no center off it")
         # single point: any center off the point works; perturb along e_1
         return SphereFit((Q(k0[0] + den, den), *(Q(x, den) for x in k0[1:])), Q(1))
-    basis: list[tuple[int, ...]] = []
-    m, c, r = 1, k0, 0  # k_0 alone: its circumcenter is k_0, at radius 0
-    while (off := next((k for k in keys if sum((m * x - y) ** 2 for x, y in zip(k, c)) != r), None)) is not None:
-        basis.append(tuple(x - y for x, y in zip(off, k0)))
-        sol = solve_linear([[2 * _dot(a, b) for b in basis] for a in basis], [_dot(b, b) for b in basis])
-        if sol.kind != "unique":
-            return None
-        m = _common_denominator([sol.particular])
-        u = _int_key(sol.particular, m)
-        c = [m * x + _dot(u, column) for x, column in zip(k0, zip(*basis))]
-        r = sum((m * x - y) ** 2 for x, y in zip(k0, c))
-    scale = den * m
-    return SphereFit(tuple(Q(x, scale) for x in c), Q(r, scale * scale))
+    diffs = [tuple(x - y for x, y in zip(k, k0)) for k in keys]
+    basis = [diffs[i] for i in span_rank(diffs)[1]]
+    t = solve_linear([[2 * _dot(a, b) for b in basis] for a in basis], [_dot(b, b) for b in basis]).particular
+    center = [x + _dot(t, column) for x, column in zip(k0, zip(*basis))]
+    m = _common_denominator([center])
+    return _sphere_about(keys, den, m, _int_key(center, m))
+
+
+def _sphere_about(keys: list, den: int, a: int, c) -> SphereFit | None:
+    """The sphere about c/(a*den) through the points k/den, or None as soon as two keys sit at different distances.
+
+    |a*k - c|^2 = a*(a*|k|^2 - 2<k, c>) + |c|^2, so one value of a*|k|^2 - 2<k, c> is one distance.
+    """
+    v = a * _dot(keys[0], keys[0]) - 2 * _dot(keys[0], c)
+    if any(a * _dot(k, k) - 2 * _dot(k, c) != v for k in keys):
+        return None
+    return SphereFit(tuple(Q(x, a * den) for x in c), Q(a * v + _dot(c, c), (a * den) ** 2))
 
 
 def fit_paraboloid(points) -> ParaboloidFit | None:

@@ -238,6 +238,8 @@ def test_enumerate_validation():
         GeneratedAffineSupport(3, (vector([1, -1, 0]),), affine(1, [1]), Q(3))
     with pytest.raises(ValueError, match="dimension mismatch"):
         ExplicitAffineSupport(dim=3, items=((affine(1, [1, -1, 0]), 1),), grading=affine(1, [1]), cutoff=Q(3))
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        ExplicitAffineSupport(dim=1, items=((affine(1, [1]), 1), (affine(1, [1, 0]), 1)), grading=affine(1, [1]), cutoff=Q(3))
     with pytest.raises(ValueError, match="dimension mismatch"):
         GeneratedAffineSupport(1, (vector([1]), vector([1, 0])), affine(1, ["1/2"]), Q(1))
     with pytest.raises(ValueError, match="0 is not a root"):

@@ -146,6 +146,8 @@ def test_exponents_first_six():
 def test_exponents_match_inversion_oracle():
     assert series_inversion_oracle(1) == [2]
     assert remark29_exponents(30) == series_inversion_oracle(30)
+    with pytest.raises(ValueError, match="^kmax must be >= 1$"):
+        series_inversion_oracle(0)
 
 
 def test_exponents_positivity_bound():

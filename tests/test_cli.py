@@ -127,6 +127,17 @@ def test_check_catalog_a2(capsys):
     assert data["multiplicities_ok"] is True
 
 
+def test_check_of_the_empty_support_keeps_the_one_point_witness(tmp_path, capsys):
+    # the one point 0 = rho_m: a sphere about rho_m would have radius 0, so the center is e_1
+    code, out, err = run(capsys, "check", write_json(tmp_path, "empty.json", {"dim": 2, "support": []}))
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["fit"] == {"center": ["1", "0"], "radius_sq": "1"}
+    assert (data["on_sphere"], data["recovered"], data["type"]) == (True, {"dim": 2, "roots": []}, None)
+    code, out, err = run(capsys, "check", write_json(tmp_path, "dim0.json", {"dim": 0, "support": []}))
+    assert (code, out, err) == (2, "", "error: no sphere in dimension 0: its one point has no center off it\n")
+
+
 def test_check_file_negative(tmp_path, capsys):
     m = SupportMap(3, {(Q(1), Q(-1), Q(0)): 1, (Q(0), Q(1), Q(-1)): 1})
     src = write_json(tmp_path, "m.json", support_map_to_json(m))

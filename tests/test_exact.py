@@ -253,6 +253,17 @@ def test_solve_linear_rejects_a_float_in_any_row():
             solve_linear([[1, 0], [0, 1], [0, 0], last_row], [1, 2, 3, last_rhs])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: vsub(vector([1]), vector([1, 2])), "dimension mismatch"),
+    (lambda: solve_linear([[1]], [1, 2]), "row/rhs length mismatch"),
+    (lambda: solve_linear([[1, 2], [1]], [0, 0]), "dimension mismatch"),
+    (lambda: solve_linear([[1, 2]], [0], ncols=3), "ncols disagrees with row width"),
+])
+def test_vector_and_solver_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_span_rank_examples():
     rank, picked = span_rank([vector([1, 0]), vector([2, 0]), vector([0, 1])])
     assert rank == 2 and picked == [0, 2]

@@ -32,6 +32,7 @@ from rootsphere.finite_root import (
     weyl_vector,
 )
 from rootsphere.group_ring import SupportMap, expand_product, mul, one, monomial
+from rootsphere.quadric import fit_sphere
 
 A = vector([1, -1, 0])
 B = vector([0, 1, -1])
@@ -55,6 +56,15 @@ def test_reflect_examples():
     assert reflect(A, B) == vector([1, 0, -1])
     with pytest.raises(ValueError):
         reflect(A, zero_vector(3))
+    with pytest.raises(ValueError, match="^cannot reflect in the zero vector$"):
+        reflection_matrix(zero_vector(2))
+
+
+def test_singular_determinant_and_the_order_of_no_roots():
+    assert mat_det(((Q(1), Q(2)), (Q(2), Q(4)))) == 0
+    assert mat_det(((Q(0), Q(1)), (Q(0), Q(1)))) == 0
+    with pytest.raises(ValueError, match="^empty root set$"):
+        weyl_order([])
 
 
 def test_reflect_properties():
@@ -344,12 +354,58 @@ def test_characterize_raises_when_the_sphere_and_the_axioms_disagree(monkeypatch
     from rootsphere.finite_root import VerdictMismatchError
     from rootsphere.quadric import SphereFit
 
-    monkeypatch.setattr(quadric_mod, "_fit_sphere_keys", lambda keys, den: None)
+    monkeypatch.setattr(quadric_mod, "_sphere_about", lambda keys, den, a, c: None)
     with pytest.raises(VerdictMismatchError, match="^sphere verdict False disagrees with axiomatic verdict True$"):
         characterize_finite(SupportMap(3, {A: 1, B: 1, AB: 1}))
-    monkeypatch.setattr(quadric_mod, "_fit_sphere_keys", lambda keys, den: SphereFit((Q(1), Q(0), Q(-1)), Q(2)))
+    monkeypatch.setattr(quadric_mod, "_sphere_about", lambda keys, den, a, c: SphereFit((Q(1), Q(0), Q(-1)), Q(2)))
     with pytest.raises(VerdictMismatchError, match="^sphere verdict True disagrees with axiomatic verdict False$"):
         characterize_finite(SupportMap(3, {A: 2, B: 1, AB: 1}))
+
+
+def test_support_is_symmetric_about_rho_and_the_verdict_fit_is_the_general_fit():
+    # 1 - e^-s = -e^-s (1 - e^s): the coefficient at 2*rho_m - x is (-1)^(sum m) times the one at x
+    rng = random.Random(2424)
+    seen = {"sphere": 0, "none": 0}
+    for _ in range(1000):
+        dim = rng.randint(1, 3)
+        entries = {}
+        for _ in range(rng.randint(0, 5)):
+            v = vector([Q(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(dim)])
+            if any(v):
+                entries[v] = rng.randint(1, 2)
+        m = SupportMap(dim, entries)
+        expansion = expand_product(m)
+        two_rho = zero_vector(dim)
+        for v, k in entries.items():
+            two_rho = vadd(two_rho, tuple(k * c for c in v))
+        sign = (-1) ** sum(entries.values())
+        for x in expansion.support():
+            mirror = tuple(a - b for a, b in zip(two_rho, x))
+            assert expansion.coefficient(mirror) == sign * expansion.coefficient(x)
+        fit = characterize_finite(m).fit
+        assert fit == fit_sphere(expansion.support())
+        seen["none" if fit is None else "sphere"] += 1
+    assert min(seen.values()) > 150, seen
+
+
+def test_the_verdict_and_remark_210_fits_solve_no_linear_system(monkeypatch):
+    # the center is rho_m, so neither fit eliminates
+    import rootsphere.quadric as quadric_mod
+    from rootsphere.catalog import remark210_counterexample, standard_finite
+    from rootsphere.quadric import SphereFit
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no elimination expected")
+
+    monkeypatch.setattr(quadric_mod, "solve_linear", refuse)
+    monkeypatch.setattr(quadric_mod, "span_rank", refuse)
+    g2 = standard_finite("G2")
+    verdict = characterize_finite(SupportMap(g2.ambient_dim, {a: 1 for a in g2.positive}))
+    assert verdict.fit == SphereFit((Q(-2), Q(-1), Q(3)), Q(14)) and verdict.type_name == "G2"
+    assert characterize_finite(SupportMap(3, {A: 1, B: 1, AB: 1})).fit == SphereFit((Q(1), Q(0), Q(-1)), Q(2))
+    assert characterize_finite(SupportMap(3, {A: 2, B: 1, AB: 1})).fit is None
+    assert characterize_finite(SupportMap(2, {})).fit == SphereFit((Q(1), Q(0)), Q(1))
+    assert remark210_counterexample()[2] == SphereFit((Q(1), Q(1), Q(1), Q(1)), Q(4))
 
 
 def test_characterize_missing_root():

@@ -574,3 +574,15 @@ def test_packed_kernels_match_tuple_reference():
         if extra:
             got = _outcome(lambda: exact_divide(GroupRingElement(dim, extra), bx).terms)
             assert got == _outcome(_ref_divide, extra, b)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: one(1) + one(2),
+    lambda: mul(one(1), one(2)),
+    lambda: one(1) * one(2),
+    lambda: truncated_product([(vector([1, 0]), 1)], vector([1]), 5),
+    lambda: exact_divide(one(1), one(2)),
+])
+def test_operands_of_two_dimensions_are_refused(call):
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        call()

@@ -54,6 +54,15 @@ def test_sphere_errors():
         fit_sphere([vector([1]), vector([1, 2])])
 
 
+@pytest.mark.parametrize("points, message", [
+    ([affine(0, [0]), affine(0, [0, 1])], "dimension mismatch"),
+    ([], "no points"),
+])
+def test_paraboloid_errors(points, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fit_paraboloid(points)
+
+
 def test_paraboloid_quadratic_points():
     pts = [affine(0, [0]), affine(1, [1]), affine(4, [2])]
     assert fit_paraboloid(pts) == ParaboloidFit(affine(0, [0]), Q(1))
