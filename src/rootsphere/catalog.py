@@ -6,8 +6,8 @@ from itertools import combinations, product
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
-from .exact import AffineVector, Q, Vector, _int_key, inner, vector, vscale
-from .finite_root import RootSystem, _component_order, weyl_vector
+from .exact import AffineVector, Q, Vector, _common_denominator, _int_key, inner, vector, vscale
+from .finite_root import RootSystem, _component_order, _root_orbit, weyl_vector
 
 if TYPE_CHECKING:
     from .affine_root import GeneratedAffineSupport
@@ -48,41 +48,26 @@ def _axis(n: int, i: int, s: int) -> Vector:
     return tuple(v)
 
 
-def _e8_roots() -> list[Vector]:
-    roots = _pm_pairs(8, range(8))
-    for signs in product((1, -1), repeat=8):
-        if signs.count(-1) % 2 == 0:
-            roots.append(tuple(Q(s, 2) for s in signs))
-    return roots
+def _orbit(simple) -> list[Vector]:
+    """The roots with these simple roots: finite_root._root_orbit of their keys at the common denominator."""
+    simple = [vector(a) for a in simple]
+    scale = _common_denominator(simple)
+    return [tuple(Q(x, scale) for x in k) for k in _root_orbit([_int_key(a, scale) for a in simple])]
 
 
-def _e7_roots() -> list[Vector]:
-    """The E8 roots a with a7 + a8 = 0 (coordinates counted from 1)."""
-    return [a for a in _e8_roots() if a[6] + a[7] == 0]
-
-
-def _e6_roots() -> list[Vector]:
-    """The E8 roots a with a6 = a7 = -a8 (coordinates counted from 1)."""
-    return [a for a in _e8_roots() if a[5] == a[6] == -a[7]]
-
-
-def _f4_roots() -> list[Vector]:
-    roots = _pm_pairs(4, range(4))
-    for i in range(4):
-        for s in (1, -1):
-            roots.append(_axis(4, i, s))
-    for signs in product((1, -1), repeat=4):
-        roots.append(tuple(Q(s, 2) for s in signs))
-    return roots
-
-
-def _g2_roots() -> list[Vector]:
-    half = [(1, -1, 0), (0, 1, -1), (1, 0, -1), (2, -1, -1), (-1, 2, -1), (-1, -1, 2)]
-    roots = []
-    for v in half:
-        roots.append(vector(v))
-        roots.append(vector([-c for c in v]))
-    return roots
+# Bourbaki's simple roots a_1, ..., a_8 of E8 (Lie Groups and Lie Algebras, Ch. 4-6, Plate VII).
+# The first 7 and 6 span E7 and E6 in E8's coordinates: the E8 roots with a7 + a8 = 0, and with
+# a6 = a7 = -a8 (coordinates counted from 1).
+_E8_SIMPLE = (
+    (Q(1, 2), *[Q(-1, 2)] * 6, Q(1, 2)),
+    (1, 1, 0, 0, 0, 0, 0, 0),
+    (-1, 1, 0, 0, 0, 0, 0, 0),
+    (0, -1, 1, 0, 0, 0, 0, 0),
+    (0, 0, -1, 1, 0, 0, 0, 0),
+    (0, 0, 0, -1, 1, 0, 0, 0),
+    (0, 0, 0, 0, -1, 1, 0, 0),
+    (0, 0, 0, 0, 0, -1, 1, 0),
+)
 
 
 def _parse_name(name: str) -> tuple[str, int]:
@@ -108,11 +93,12 @@ def _build_roots(letter: str, n: int) -> tuple[int, list[Vector]]:
     if letter == "D" and n >= 4:
         return n, _pm_pairs(n, range(n))
     if letter == "E" and n in (6, 7, 8):
-        return 8, {6: _e6_roots, 7: _e7_roots, 8: _e8_roots}[n]()
+        return 8, _orbit(_E8_SIMPLE[:n])
+    # Bourbaki's simple roots of F4 and G2 (Plates VIII and IX)
     if letter == "F" and n == 4:
-        return 4, _f4_roots()
+        return 4, _orbit([(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (Q(1, 2), *[Q(-1, 2)] * 3)])
     if letter == "G" and n == 2:
-        return 3, _g2_roots()
+        return 3, _orbit([(1, -1, 0), (-2, 1, 1)])
     raise ValueError(f"unknown catalog name: {letter}{n}")
 
 
@@ -124,7 +110,8 @@ def standard_finite(name: str) -> CatalogEntry:
     differs from the lexicographic half of finite_root.positive_roots for
     some types: for A2 the catalog gives rho = (-1, 0, 1), the lexicographic
     half rho = (1, 0, -1).  The expected Weyl order comes from the
-    classification's order table.
+    classification's order table.  The exceptional types are the orbits of
+    Bourbaki's simple roots; E6 and E7 sit in E8's coordinates.
     """
     letter, n = _parse_name(name)
     dim, roots = _build_roots(letter, n)

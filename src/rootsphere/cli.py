@@ -121,10 +121,7 @@ def _cmd_check(args) -> dict:
         return affine_verdict_to_json(characterize_affine(_affine_spec(src, args.cutoff)))
     from .finite_root import characterize_finite, finite_verdict_to_json
 
-    m = _finite_map(src)
-    if any(v < 0 for v in m.entries.values()):
-        raise CliError("finite check needs nonnegative multiplicities")
-    return finite_verdict_to_json(characterize_finite(m))
+    return finite_verdict_to_json(characterize_finite(_finite_map(src)))
 
 
 def _cmd_classify(args) -> dict:

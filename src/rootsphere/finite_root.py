@@ -559,7 +559,9 @@ def characterize_finite(m: SupportMap) -> FiniteVerdict:
     Geometric route: expand prod (1-e^s)^m(s) and fit a sphere through the
     support of the expansion.  Axiomatic route: S and -S disjoint, all
     multiplicities 1, and S union -S passes the root-system axioms relative
-    to its span.  Disagreement raises VerdictMismatchError.
+    to its span.  Disagreement raises VerdictMismatchError.  A negative
+    multiplicity (only a SignedSupportMap has one) raises ValueError before
+    any expansion.
 
     The witness is centered at rho_m = 1/2 sum m(s)*s: the coefficient at
     2*rho_m - x is (-1)^(sum m) times the one at x, as
@@ -571,6 +573,8 @@ def characterize_finite(m: SupportMap) -> FiniteVerdict:
     from .group_ring import expand_product
     from .quadric import _fit_sphere_keys, _sphere_about
 
+    if any(c < 0 for c in m.entries.values()):
+        raise ValueError("finite check needs nonnegative multiplicities")
     expansion = expand_product(m)
     keys, scale = list(expansion._ints), expansion._scale
     two_rho = map(sum, zip(*(vscale(k, v) for v, k in m.entries.items())))

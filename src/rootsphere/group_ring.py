@@ -361,12 +361,11 @@ def truncated_product(factors: Iterable[tuple], grading, cutoff) -> GroupRingEle
     if any(g <= 0 for g in grades):
         raise ValueError("a factor with nonpositive grade")
     pack, unpack, w = _packing(*_factor_box(keys, dim))
-    # a key carries grade g exactly when g * 2^w - 2^w/2 < key < g * 2^w + 2^w/2
+    # a key carries grade g exactly when g * 2^w - 2^w/2 < key < g * 2^w + 2^w/2; in dimension 0, w = 0 and key = g
     num, den = _grade_bound(cutoff, scale)
-    cap = ((num // den + 1) << w) - (1 << (w - 1))
+    cap = ((num // den + 1) << w) - ((1 << w) >> 1)
     acc = _times_binomials([((g << w) + pack(k), mult) for (k, mult), g in zip(keys, grades)], cap)
-    # only the constant term can be at or above cap: below a negative cutoff, once a factor is taken
-    return GroupRingElement._from_ints(dim, scale, {unpack(k): c for k, c in acc.items() if k < cap or not keys})
+    return GroupRingElement._from_ints(dim, scale, {unpack(k): c for k, c in acc.items() if k < cap})
 
 
 def exact_divide(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:

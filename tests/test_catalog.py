@@ -1,8 +1,12 @@
 """Built-in systems, affine ladders, and the two boundary constructions."""
 
+from itertools import product
+
 import pytest
 
 from rootsphere.catalog import (
+    _axis,
+    _pm_pairs,
     default_grading,
     divisors,
     mobius,
@@ -61,6 +65,43 @@ def test_g2_roots():
     assert all(sum(r) == 0 for r in roots)
     assert vector([1, -1, 0]) in roots
     assert vector([2, -1, -1]) in roots
+
+
+# The exceptional root sets by their textbook definitions (Humphreys, Introduction to Lie
+# Algebras and Representation Theory, 12.1): the reference for the catalog's simple-root orbits.
+def _e8_roots():
+    roots = _pm_pairs(8, range(8))
+    for signs in product((1, -1), repeat=8):
+        if signs.count(-1) % 2 == 0:
+            roots.append(tuple(Q(s, 2) for s in signs))
+    return roots
+
+
+def _f4_roots():
+    roots = _pm_pairs(4, range(4))
+    roots += [_axis(4, i, s) for i in range(4) for s in (1, -1)]
+    roots += [tuple(Q(s, 2) for s in signs) for signs in product((1, -1), repeat=4)]
+    return roots
+
+
+def _g2_roots():
+    half = [(1, -1, 0), (0, 1, -1), (1, 0, -1), (2, -1, -1), (-1, 2, -1), (-1, -1, 2)]
+    return [vector(v) for v in half] + [vector([-c for c in v]) for v in half]
+
+
+TEXTBOOK_ROOTS = {
+    "E8": _e8_roots,
+    # coordinates counted from 1: the E8 roots with a7 + a8 = 0, and with a6 = a7 = -a8
+    "E7": lambda: [a for a in _e8_roots() if a[6] + a[7] == 0],
+    "E6": lambda: [a for a in _e8_roots() if a[5] == a[6] == -a[7]],
+    "F4": _f4_roots,
+    "G2": _g2_roots,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXTBOOK_ROOTS))
+def test_exceptional_roots_match_their_textbook_definitions(name):
+    assert set(standard_finite(name).roots.roots) == set(TEXTBOOK_ROOTS[name]())
 
 
 def test_unknown_names():

@@ -362,6 +362,21 @@ def test_characterize_raises_when_the_sphere_and_the_axioms_disagree(monkeypatch
         characterize_finite(SupportMap(3, {A: 2, B: 1, AB: 1}))
 
 
+def test_characterize_refuses_a_negative_multiplicity_before_expanding(monkeypatch):
+    import rootsphere.group_ring as group_ring_mod
+    from rootsphere.catalog import remark210_counterexample
+    from rootsphere.group_ring import SignedSupportMap
+
+    def no_expansion(m):
+        raise AssertionError("expanded a signed map")
+
+    signed = [SignedSupportMap(2, {(1, 0): 1, (-1, 0): -1}), remark210_counterexample()[0]]
+    monkeypatch.setattr(group_ring_mod, "expand_product", no_expansion)
+    for m in signed:
+        with pytest.raises(ValueError, match="^finite check needs nonnegative multiplicities$"):
+            characterize_finite(m)
+
+
 def test_support_is_symmetric_about_rho_and_the_verdict_fit_is_the_general_fit():
     # 1 - e^-s = -e^-s (1 - e^s): the coefficient at 2*rho_m - x is (-1)^(sum m) times the one at x
     rng = random.Random(2424)

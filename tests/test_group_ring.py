@@ -276,6 +276,15 @@ def test_truncated_empty_is_one():
     assert truncated_product([], (Q(1),), Q(2)) == one(1)
 
 
+def test_truncated_empty_product_is_one_only_at_a_nonnegative_cutoff():
+    # the constant 1 has grade 0: a negative cutoff leaves zero, with no factor as with one
+    assert truncated_product([], (1,), -1) == GroupRingElement(1, {})
+    assert truncated_product([((1,), 1)], (1,), -1) == GroupRingElement(1, {})
+    assert truncated_product([], (1,), 0) == one(1)
+    assert truncated_product([], (), 1) == one(0)
+    assert truncated_product([], (), -1) == GroupRingElement(0, {})
+
+
 def test_truncated_rejects_bad_grades():
     with pytest.raises(ValueError):
         truncated_product([((Q(-1),), 1)], (Q(1),), Q(2))
