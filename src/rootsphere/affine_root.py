@@ -21,7 +21,6 @@ from .exact import (
     is_zero,
     json_field,
     json_items,
-    norm_sq,
     rational,
     span_rank,
     unflatten,
@@ -35,9 +34,13 @@ from .finite_root import (
     DEFAULT_WEYL_BOUND,
     Matrix,
     RootSystem,
+    _checked_components,
     _components,
+    _mirror_norm,
     _only_opposite_parallels,
     _orbit_walk,
+    _reflect,
+    _reflection,
     _reflection_closure,
     base,
 )
@@ -45,15 +48,6 @@ from .group_ring import GroupRingElement, truncated_product
 
 if TYPE_CHECKING:
     from .quadric import ParaboloidFit
-
-
-def affine_inner(a: AffineVector, b: AffineVector) -> Fraction:
-    """The degenerate pairing: parts only, levels ignored."""
-    return inner(a.part, b.part)
-
-
-def affine_norm_sq(a: AffineVector) -> Fraction:
-    return norm_sq(a.part)
 
 
 def grade(v: AffineVector, grading: AffineVector) -> Fraction:
@@ -72,35 +66,18 @@ def linear_form(a: AffineVector, x: Vector) -> Fraction:
 
 def affine_reflect_point(a: AffineVector, x: Vector) -> Vector:
     """Reflection of a point of V in the zero set of the root's affine form."""
-    nn = affine_norm_sq(a)
-    if nn == 0:
-        raise ValueError("cannot reflect in an isotropic vector")
+    nn = _mirror_norm(a.part, "an isotropic vector")
     return vsub(x, vscale(2 * linear_form(a, x) / nn, a.part))
 
 
 def affine_reflect_vec(a: AffineVector, v: AffineVector) -> AffineVector:
-    """Reflection of an extended vector; isotropic vectors are fixed."""
-    nn = affine_norm_sq(a)
-    if nn == 0:
-        raise ValueError("cannot reflect in an isotropic vector")
-    t = 2 * affine_inner(a, v) / nn
-    return AffineVector(v.level - t * a.level, vsub(v.part, vscale(t, a.part)))
+    """Reflection of an extended vector: mirror (0; part), root a; isotropic vectors are fixed."""
+    return unflatten(_reflect((Q(0),) + a.part, a.flatten(), v.flatten(), "an isotropic vector"))
 
 
 def affine_reflection_matrix(a: AffineVector) -> Matrix:
     """Matrix of the extended reflection on flattened (level, part) coordinates."""
-    nn = affine_norm_sq(a)
-    if nn == 0:
-        raise ValueError("cannot reflect in an isotropic vector")
-    n = a.dim
-    p = a.part
-    top = (Q(1),) + tuple(-2 * p[j] * a.level / nn for j in range(n))
-    rows = [top]
-    for i in range(n):
-        rows.append(
-            (Q(0),) + tuple((Q(1) if i == j else Q(0)) - 2 * p[i] * p[j] / nn for j in range(n))
-        )
-    return tuple(rows)
+    return _reflection((Q(0),) + a.part, a.flatten(), "an isotropic vector")
 
 
 # -- support specifications ---------------------------------------------------------
@@ -131,23 +108,34 @@ class ExplicitAffineSupport(_Value):
 
     def __init__(self, dim: int, items: tuple, grading: AffineVector, cutoff: Fraction):
         cutoff = _frame(grading, cutoff)
-        merged: dict[AffineVector, int] = {}
-        for av, mult in items:
-            if av.dim != dim:
-                raise ValueError("dimension mismatch")
-            if av.level == 0 and is_zero(av.part):
-                raise ValueError("m(0) must be 0")
-            mult = integer(mult)
-            if mult <= 0:
-                raise ValueError("multiplicities must be positive")
-            g = grade(av, grading)
-            if g <= 0 or g > cutoff:
-                raise ValueError("explicit item with grade > C or <= 0")
-            merged[av] = merged.get(av, 0) + mult
-        if not merged:
-            raise ValueError("empty support")
+        self.items = _checked_items(dim, items, grading, cutoff)
         self.dim, self.grading, self.cutoff = dim, grading, cutoff
-        self.items = tuple(sorted(merged.items(), key=lambda t: _graded(t[0], grading)))
+
+
+def _checked_items(dim: int, items, grading: AffineVector, cutoff: Fraction) -> tuple:
+    """The (AffineVector, multiplicity) items of a spec, merged and sorted by grade, then level, then part.
+
+    Each item, in order, must have dimension dim, not be m(0), have a
+    positive integer multiplicity and a grade in (0, cutoff]; the first that
+    does not raises ValueError, and so does an empty list ("empty support").
+    Both kinds of spec build their items here.
+    """
+    merged: dict[AffineVector, int] = {}
+    for av, mult in items:
+        if av.dim != dim:
+            raise ValueError("dimension mismatch")
+        if av.level == 0 and is_zero(av.part):
+            raise ValueError("m(0) must be 0")
+        mult = integer(mult)
+        if mult <= 0:
+            raise ValueError("multiplicities must be positive")
+        g = grade(av, grading)
+        if g <= 0 or g > cutoff:
+            raise ValueError("explicit item with grade > C or <= 0")
+        merged[av] = merged.get(av, 0) + mult
+    if not merged:
+        raise ValueError("empty support")
+    return tuple(sorted(merged.items(), key=lambda t: _graded(t[0], grading)))
 
 
 class GeneratedAffineSupport(_Value):
@@ -157,11 +145,12 @@ class GeneratedAffineSupport(_Value):
     the cutoff; isotropic items sit at the positive multiples of the period
     with multiplicity equal to the rank.  The constructor coerces, dedupes
     and checks the roots as RootSystem does, and builds the items once, in
-    items, sorted by grade, then level, then part; items is not a field, so
-    equality, hash and repr read the generating data only.  The constructor
-    raises "grading not generic: a ladder hits grade 0" when a ladder point
-    has grade 0, "multiplicities must be positive" when there are no roots
-    (rank 0), and "empty support" when no item has grade in (0, cutoff].
+    items, through the item check of ExplicitAffineSupport; items is not a
+    field, so equality, hash and repr read the generating data only.  The
+    constructor raises "grading not generic: a ladder hits grade 0" when a
+    ladder point has grade 0, and the item check raises "multiplicities must
+    be positive" when there are no roots (rank 0) and "empty support" when
+    no item has grade in (0, cutoff].
     """
 
     _fields = ("dim", "roots", "grading", "cutoff", "period", "name")
@@ -190,13 +179,11 @@ class GeneratedAffineSupport(_Value):
             if lo.denominator == 1:
                 raise ValueError("grading not generic: a ladder hits grade 0")
             items += [(AffineVector(k * period, a), 1) for k in range(floor(lo) + 1, floor(hi) + 1)]
-        mult, iso = self.rank, zero_vector(dim)
-        if mult <= 0:
-            raise ValueError("multiplicities must be positive")
-        items += [(AffineVector(k * period, iso), mult) for k in range(1, floor(cutoff / step) + 1)]
-        if not items:
-            raise ValueError("empty support")
-        self.items = tuple(sorted(items, key=lambda t: _graded(t[0], grading)))
+        mult = self.rank
+        # with no roots (rank 0) the first rung stays, even above the cutoff, so that the check refuses multiplicity 0
+        rungs = range(1, floor(cutoff / step) + 1) if mult else (1,)
+        items += [(AffineVector(k * period, zero_vector(dim)), mult) for k in rungs]
+        self.items = _checked_items(dim, items, grading, cutoff)
 
     @property
     def rank(self) -> int:
@@ -361,19 +348,15 @@ def affine_weyl_rhs(spec: AffineSupportSpec, bound: int = DEFAULT_WEYL_BOUND) ->
     elements kept, those with grade(s(w)) <= cutoff; when more are found,
     GroupTooLargeError is raised.
 
-    The pruning is exact only when spec.roots is a root system: the rise
-    along reduced words is a fact about root systems.  Other roots are not
-    refused.  For the parallel roots +-1/2, +-3 with grading (1; 4/7) and
-    cutoff 2/3 some reflection coefficient is not an integer, the walk
-    leaves the integer keys and the sum keeps (8/3; -7/2), of grade exactly
-    the cutoff; such a sum need not equal the truncated product.
-
-    A spec that is not a GeneratedAffineSupport raises ValueError.  The
-    base is never empty: a generated spec holds a real item, and its real
-    item of least grade is not a sum of two items.
+    A spec that is not a GeneratedAffineSupport raises ValueError, and so
+    do roots that are not a root system, as in classify: the rise along
+    reduced words is a fact about root systems.  The base is never empty: a
+    generated spec holds a real item, and its real item of least grade is
+    not a sum of two items.
     """
     if not isinstance(spec, GeneratedAffineSupport):
         raise ValueError("affine Weyl sum needs a generated spec")
+    _checked_components(spec.roots)
     simples = _affine_base(spec.items, spec.grading)
     roots = [a.flatten() for a in simples]
     mirrors = [(Q(0),) + a.part for a in simples]

@@ -74,7 +74,10 @@ def _finite_map(src: str):
 
 
 def _affine_spec(src: str, cutoff):
-    """The affine support of src; --cutoff overrides the cutoff a generated file carries."""
+    """The affine support of src; --cutoff overrides the cutoff a generated file carries.
+
+    An explicit file carries its own cutoff, so --cutoff with one is refused.
+    """
     if src.startswith("catalog-affine:"):
         name, grading = src[len("catalog-affine:"):], None
     else:
@@ -82,7 +85,12 @@ def _affine_spec(src: str, cutoff):
         from .exact import json_field
 
         data = _load_json(src, "catalog-affine:")
-        if data.get("kind") != "generated":
+        kind = data.get("kind", "explicit")
+        if kind not in ("explicit", "generated"):
+            raise CliError('input: field "kind" must be "explicit" or "generated"')
+        if kind == "explicit":
+            if cutoff is not None:
+                raise CliError("--cutoff does not apply to an explicit affine file, which carries its own cutoff")
             return explicit_spec_from_json(data)
         name = json_field(data, "name")
         if not isinstance(name, str):
@@ -119,6 +127,8 @@ def _cmd_check(args) -> dict:
         from .affine_root import affine_verdict_to_json, characterize_affine
 
         return affine_verdict_to_json(characterize_affine(_affine_spec(src, args.cutoff)))
+    if args.cutoff is not None:
+        raise CliError("--cutoff applies only to --mode affine")
     from .finite_root import characterize_finite, finite_verdict_to_json
 
     return finite_verdict_to_json(characterize_finite(_finite_map(src)))
@@ -179,9 +189,12 @@ def _cmd_counterexample(args) -> dict:
     from .catalog import remark29_exponents, remark210_counterexample, series_inversion_oracle
 
     if args.which == "remark29":
-        exponents = remark29_exponents(args.kmax)
-        oracle = series_inversion_oracle(args.kmax)
+        kmax = 6 if args.kmax is None else args.kmax
+        exponents = remark29_exponents(kmax)
+        oracle = series_inversion_oracle(kmax)
         return {"exponents": exponents, "oracle": oracle, "agree": exponents == oracle}
+    if args.kmax is not None:
+        raise CliError("--kmax applies only to remark29")
     from .exact import vneg
     from .finite_root import RootSystem, axiom_report_to_json, check_axioms
     from .group_ring import element_to_json, support_map_to_json
@@ -250,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = command("counterexample", _cmd_counterexample, "built-in boundary examples")
     sp.add_argument("which", choices=("remark29", "remark210"))
-    sp.add_argument("--kmax", type=int, default=6)
+    sp.add_argument("--kmax", type=int, default=None)
 
     return p
 

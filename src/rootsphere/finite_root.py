@@ -81,11 +81,26 @@ def reflect(v: Vector, a: Vector) -> Vector:
     takes the root first.
     """
     a = vector(a)
-    v = vector(v)
-    nn = norm_sq(a)
-    if nn == 0:
-        raise ValueError("cannot reflect in the zero vector")
-    return vsub(v, vscale(2 * inner(a, v) / nn, a))
+    return _reflect(a, a, vector(v), "the zero vector")
+
+
+def _mirror_norm(m: Vector, what: str) -> Fraction:
+    """<m, m>, the divisor of a reflection with mirror m; 0 raises ValueError("cannot reflect in " + what)."""
+    mm = norm_sq(m)
+    if mm == 0:
+        raise ValueError(f"cannot reflect in {what}")
+    return mm
+
+
+def _reflect(m: Vector, r: Vector, v: Vector, what: str) -> Vector:
+    """v - (2<m, v>/<m, m>) r: the reflection with mirror m and root r.
+
+    A finite reflection has m = r; the affine one in a = (level; part) has
+    m = (0; part) and r = a, the form _reflection_closure and _orbit_walk
+    step by on integer keys.  what names m in the error of <m, m> = 0.
+    """
+    mm = _mirror_norm(m, what)
+    return vsub(v, vscale(2 * inner(m, v) / mm, r))
 
 
 Matrix = tuple[Vector, ...]
@@ -127,13 +142,13 @@ def mat_det(m: Matrix) -> Fraction:
 def reflection_matrix(a: Vector) -> Matrix:
     """Matrix of the reflection in the hyperplane orthogonal to a; the dimension is len(a)."""
     a = vector(a)
-    dim = len(a)
-    nn = norm_sq(a)
-    if nn == 0:
-        raise ValueError("cannot reflect in the zero vector")
-    return tuple(
-        tuple((Q(1) if i == j else Q(0)) - 2 * a[i] * a[j] / nn for j in range(dim)) for i in range(dim)
-    )
+    return _reflection(a, a, "the zero vector")
+
+
+def _reflection(m: Vector, r: Vector, what: str) -> Matrix:
+    """The matrix I - 2 r m^T/<m, m> of _reflect(m, r, ., what)."""
+    t = vscale(2 / _mirror_norm(m, what), m)
+    return tuple(tuple((Q(1) if i == j else Q(0)) - x * y for j, y in enumerate(t)) for i, x in enumerate(r))
 
 
 def check_axioms(rs: RootSystem) -> AxiomReport:

@@ -98,7 +98,10 @@ class GroupRingElement(_Value):
         return [tuple(map(get, k)) for k in sorted(self._ints)]
 
     def coefficient(self, v) -> int:
-        k = [c * self._scale for c in vector(v)]
+        v = vector(v)
+        if len(v) != self.dim:
+            raise ValueError("dimension mismatch")
+        k = [c * self._scale for c in v]
         if any(c.denominator != 1 for c in k):
             return 0
         return self._ints.get(tuple(map(int, k)), 0)

@@ -2,6 +2,7 @@
 and the paraboloid criterion."""
 
 import random
+from math import floor
 
 import pytest
 
@@ -10,8 +11,6 @@ from rootsphere.affine_root import (
     ExplicitAffineSupport,
     GeneratedAffineSupport,
     _affine_base,
-    affine_inner,
-    affine_norm_sq,
     affine_reflect_point,
     affine_reflect_vec,
     affine_reflection_matrix,
@@ -30,8 +29,29 @@ from rootsphere.affine_root import (
     linear_form,
 )
 from rootsphere.catalog import untwisted_affine
-from rootsphere.exact import AffineVector, Q, affine, inner, norm_sq, span_rank, vector, vneg, vsub, zero_vector
-from rootsphere.finite_root import GroupTooLargeError, identity_matrix, mat_det, mat_mul, mat_vec
+from rootsphere.exact import (
+    AffineVector,
+    Q,
+    affine,
+    inner,
+    norm_sq,
+    span_rank,
+    vector,
+    vneg,
+    vscale,
+    vsub,
+    zero_vector,
+)
+from rootsphere.finite_root import (
+    GroupTooLargeError,
+    RootSystem,
+    identity_matrix,
+    mat_det,
+    mat_mul,
+    mat_vec,
+    reflect,
+    reflection_matrix,
+)
 from rootsphere.group_ring import monomial, mul, truncated_product
 
 A = vector([1, -1, 0])
@@ -84,7 +104,7 @@ def test_reflect_vec_properties():
         a = AffineVector(
             Q(rng.randint(-2, 2)), tuple(Q(rng.randint(-2, 2)) for _ in range(dim))
         )
-        if affine_norm_sq(a) == 0:
+        if norm_sq(a.part) == 0:
             continue
         v = AffineVector(
             Q(rng.randint(-3, 3)), tuple(Q(rng.randint(-3, 3)) for _ in range(dim))
@@ -92,10 +112,8 @@ def test_reflect_vec_properties():
         w = affine_reflect_vec(a, v)
         assert affine_reflect_vec(a, w) == v
         # the part transforms by the finite reflection
-        from rootsphere.finite_root import reflect
-
         assert w.part == reflect(v.part, a.part)
-        assert affine_norm_sq(w) == affine_norm_sq(v)
+        assert norm_sq(w.part) == norm_sq(v.part)
         m = affine_reflection_matrix(a)
         assert mat_vec(m, v.flatten()) == w.flatten()
         assert mat_det(m) == -1
@@ -113,11 +131,90 @@ def test_reflection_pullback():
             )
 
         b, a = rav(), rav()
-        if affine_norm_sq(b) == 0:
+        if norm_sq(b.part) == 0:
             continue
         x = tuple(Q(rng.randint(-3, 3)) for _ in range(dim))
         lhs = linear_form(affine_reflect_vec(b, a), affine_reflect_point(b, x))
         assert lhs == linear_form(a, x)
+
+
+# The four reflections as each spelled out its own formula before they shared one (mirror, root) home:
+# the reference of test_reflections_match_their_own_formulas.
+
+
+def _own_reflect(v, a):
+    a = vector(a)
+    v = vector(v)
+    nn = norm_sq(a)
+    if nn == 0:
+        raise ValueError("cannot reflect in the zero vector")
+    return vsub(v, vscale(2 * inner(a, v) / nn, a))
+
+
+def _own_reflection_matrix(a):
+    a = vector(a)
+    nn = norm_sq(a)
+    if nn == 0:
+        raise ValueError("cannot reflect in the zero vector")
+    return tuple(tuple((Q(1) if i == j else Q(0)) - 2 * a[i] * a[j] / nn for j in range(len(a))) for i in range(len(a)))
+
+
+def _own_affine_reflect_vec(a, v):
+    nn = norm_sq(a.part)
+    if nn == 0:
+        raise ValueError("cannot reflect in an isotropic vector")
+    t = 2 * inner(a.part, v.part) / nn
+    return AffineVector(v.level - t * a.level, vsub(v.part, vscale(t, a.part)))
+
+
+def _own_affine_reflection_matrix(a):
+    nn = norm_sq(a.part)
+    if nn == 0:
+        raise ValueError("cannot reflect in an isotropic vector")
+    p, n = a.part, a.dim
+    top = (Q(1),) + tuple(-2 * p[j] * a.level / nn for j in range(n))
+    return (top,) + tuple(
+        (Q(0),) + tuple((Q(1) if i == j else Q(0)) - 2 * p[i] * p[j] / nn for j in range(n)) for i in range(n)
+    )
+
+
+def _outcome(f, *args):
+    """repr of f(*args), so that a Fraction and an int of one value differ, or the type and text of its error."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_reflections_match_their_own_formulas():
+    rng = random.Random(26)
+
+    def vec(dim):
+        # zero about one time in four, so that the mirror is often zero or isotropic
+        if rng.random() < 0.25:
+            return zero_vector(dim)
+        return tuple(Q(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(dim))
+
+    seen = set()
+    for _ in range(400):
+        dim = rng.randint(0, 3)
+        # another length about one time in ten, so that "dimension mismatch" is compared too
+        other = dim + 1 if rng.random() < 0.1 else dim
+        a, v = vec(dim), vec(other)
+        la, lv = Q(rng.randint(-2, 2), rng.choice((1, 2))), Q(rng.randint(-2, 2), rng.choice((1, 3)))
+        pairs = [
+            (_outcome(reflect, v, a), _outcome(_own_reflect, v, a)),
+            (_outcome(reflection_matrix, a), _outcome(_own_reflection_matrix, a)),
+            (
+                _outcome(affine_reflect_vec, AffineVector(la, a), AffineVector(lv, v)),
+                _outcome(_own_affine_reflect_vec, AffineVector(la, a), AffineVector(lv, v)),
+            ),
+            (_outcome(affine_reflection_matrix, AffineVector(la, a)), _outcome(_own_affine_reflection_matrix, AffineVector(la, a))),
+        ]
+        for got, expected in pairs:
+            assert got == expected, (a, la, v, lv)
+            seen.add(expected[1] if isinstance(expected, tuple) else "value")
+    assert seen == {"value", "cannot reflect in the zero vector", "cannot reflect in an isotropic vector", "dimension mismatch"}
 
 
 def test_enumerate_a1_cutoff_two():
@@ -150,11 +247,11 @@ def _brute_force_items(roots, grading, cutoff, period, window=80):
     return sorted(kept, key=lambda t: (grade(t[0], grading), t[0].level, t[0].part)) if kept else "empty support"
 
 
-def test_generated_items_match_a_brute_force_enumeration():
-    rng = random.Random(20)
+def _random_generated_args(rng, count):
+    """Seeded (dim, roots, grading, cutoff, period) of GeneratedAffineSupports, with rational roots,
+    periods and gradings; half the cutoffs are the grade of a ladder point, real or isotropic."""
     coords = [Q(-1), Q(-1, 2), Q(0), Q(1, 2), Q(1)]
-    seen = set()
-    for _ in range(120):
+    for _ in range(count):
         dim = rng.randint(1, 3)
         picked = {tuple(rng.choice(coords) for _ in range(dim)) for _ in range(rng.randint(1, 3))}
         roots = tuple({r for r in picked | {vneg(r) for r in picked} if any(r)})
@@ -175,6 +272,12 @@ def test_generated_items_match_a_brute_force_enumeration():
             cutoff = Q(rng.randint(1, 8), rng.choice((2, 3)))
         else:
             cutoff = Q(1, 100)
+        yield dim, roots, grading, cutoff, period
+
+
+def test_generated_items_match_a_brute_force_enumeration():
+    seen = set()
+    for dim, roots, grading, cutoff, period in _random_generated_args(random.Random(20), 120):
         try:
             got = enumerate_support(GeneratedAffineSupport(dim, roots, grading, cutoff, period))
         except ValueError as exc:
@@ -193,6 +296,52 @@ def test_generated_items_match_a_brute_force_enumeration():
         "empty support",
         ("level", True),
         ("level", False),
+    }
+
+
+def _own_generated_items(dim, roots, grading, cutoff, period):
+    """The items of GeneratedAffineSupport as it built and checked them itself, before it shared
+    ExplicitAffineSupport's item check; cutoff and period are positive Fractions."""
+    roots = RootSystem(dim, roots).roots
+    step = period * grading.level
+    items = []
+    for a in roots:
+        g0 = inner(a, grading.part)
+        lo, hi = -g0 / step, (cutoff - g0) / step
+        if lo.denominator == 1:
+            raise ValueError("grading not generic: a ladder hits grade 0")
+        items += [(AffineVector(k * period, a), 1) for k in range(floor(lo) + 1, floor(hi) + 1)]
+    mult = span_rank(roots)[0]
+    if mult <= 0:
+        raise ValueError("multiplicities must be positive")
+    items += [(AffineVector(k * period, zero_vector(dim)), mult) for k in range(1, floor(cutoff / step) + 1)]
+    if not items:
+        raise ValueError("empty support")
+    return tuple(sorted(items, key=lambda t: (grade(t[0], grading), t[0].level, t[0].part)))
+
+
+def test_generated_items_match_their_own_check():
+    cases = list(_random_generated_args(random.Random(26), 200))
+    half = affine(1, ["1/2"])
+    cases += [
+        # rank 0, below and above the first isotropic rung, and with a grading of another dimension
+        (1, (), half, Q(1, 4), Q(1)),
+        (1, (), half, Q(3), Q(1, 2)),
+        (3, (), affine(1, [1]), Q(1, 2), Q(1)),
+        # a grading of another dimension than the roots
+        (2, (vector([1, 0]), vector([-1, 0])), half, Q(2), Q(1)),
+    ]
+    seen = set()
+    for args in cases:
+        expected = _outcome(_own_generated_items, *args)
+        assert _outcome(lambda: GeneratedAffineSupport(*args).items) == expected, args
+        seen.add(expected[1] if isinstance(expected, tuple) else "items")
+    assert seen == {
+        "items",
+        "grading not generic: a ladder hits grade 0",
+        "empty support",
+        "multiplicities must be positive",
+        "dimension mismatch",
     }
 
 
@@ -397,7 +546,7 @@ def _affine_axioms_by_definition(spec):
         for a in pm
         for img in (affine_reflect_vec(a, b) for b in pm)
     )
-    ar3 = all((2 * affine_inner(a, b) / affine_norm_sq(a)).denominator == 1 for a in pm for b in pm)
+    ar3 = all((2 * inner(a.part, b.part) / norm_sq(a.part)).denominator == 1 for a in pm for b in pm)
     ar5 = all(f == h or f == tuple(-c for c in h) or not _parallel(f, h) for f in flat for h in flat)
     parts = {av.part for av in pm}
     reached = {min(parts)} if parts else set()
@@ -493,13 +642,13 @@ def test_weyl_rhs_smallest_cutoff():
     assert rhs.terms == {(Q(0), Q(0)): Q(1), (Q(0), Q(1)): Q(-1)}
 
 
-def test_weyl_rhs_keeps_a_term_of_grade_exactly_the_cutoff_off_the_integers():
-    # ±1/2 and ±3 are parallel, so some reflection coefficient is not an integer and the walk
-    # leaves the integer keys; (8/3; -7/2) has grade exactly 2/3, which a floored cap would drop
-    spec = GeneratedAffineSupport(1, tuple(vector([c]) for c in ("1/2", "-1/2", 3, -3)), affine(1, ["4/7"]), Q(2, 3))
-    terms = affine_weyl_rhs(spec).terms
-    assert terms[(Q(8, 3), Q(-7, 2))] == 1
-    assert max(k[0] + inner(k[1:], spec.grading.part) for k in terms) == spec.cutoff
+def test_weyl_rhs_refuses_roots_that_are_not_a_root_system():
+    # the pruning is exact only on a root system; over +-1, +-1/2, +-3 the unpruned walk finds ever
+    # more vectors of grade <= 2/3, (0; -10) among them, so no finite sum is the truncated one
+    for roots, grading in ((("1", "1/2", "3"), "2/21"), (("1/2", "3"), "4/7")):
+        spec = GeneratedAffineSupport(1, tuple((s * Q(c),) for c in roots for s in (1, -1)), affine(1, [grading]), Q(2, 3))
+        with pytest.raises(ValueError, match="^unrecognized$"):
+            affine_weyl_rhs(spec)
 
 
 def test_weyl_rhs_a1_cutoff_two():
@@ -716,8 +865,8 @@ def test_truncation_twist_identity():
 def test_grade_and_inner_helpers():
     g = affine(1, ["1/2"])
     assert grade(affine(2, [1]), g) == Q(5, 2)
-    assert affine_inner(affine(5, [1]), affine(7, [1])) == 1
-    assert affine_norm_sq(affine(5, [2])) == 4
+    # the reflection pairs parts only: 2<(0; 1), (7; 1)>/<(0; 1), (0; 1)> = 2 reads neither level
+    assert affine_reflect_vec(affine(5, [1]), affine(7, [1])) == affine(-3, [-1])
 
 
 def test_spec_json_round_trip():

@@ -577,6 +577,37 @@ def test_a_catalog_prefix_of_the_other_kind_names_the_source_the_command_reads(c
     assert (code, out, err) == (2, "", f"error: this command reads {reads} or a file, not {argv[1]}\n")
 
 
+EXPLICIT_A1 = {"dim": 1, "items": [{"level": "0", "v": ["1"], "mult": 1}], "grading": {"level": "1", "v": ["1/2"]}, "cutoff": "2"}
+
+
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (("check", "catalog:A2", "--cutoff", "3"), None, "--cutoff applies only to --mode affine"),
+        (
+            ("check", "FILE", "--mode", "affine", "--cutoff", "1"),
+            EXPLICIT_A1,
+            "--cutoff does not apply to an explicit affine file, which carries its own cutoff",
+        ),
+        (("counterexample", "remark210", "--kmax", "0"), None, "--kmax applies only to remark29"),
+        (
+            ("check", "FILE", "--mode", "affine"),
+            {"kind": "generatd", "name": "A1", "cutoff": "3"},
+            'input: field "kind" must be "explicit" or "generated"',
+        ),
+    ],
+    ids=["finite-cutoff", "explicit-file-cutoff", "remark210-kmax", "unknown-kind"],
+)
+def test_a_flag_or_kind_the_command_would_ignore_is_refused(tmp_path, capsys, argv, data, message):
+    if data is not None:
+        argv = [write_json(tmp_path, "in.json", data) if a == "FILE" else a for a in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    if data is EXPLICIT_A1:
+        # without the flag the file reads as it did, with its own cutoff
+        code, out, _ = run(capsys, *argv[:-2])
+        assert code == 0 and json.loads(out)["cutoff"] == "2"
+
+
 def test_every_public_name_resolves_and_star_import_binds_them_all():
     out = _fresh_python(
         "import rootsphere\n"

@@ -139,7 +139,7 @@ def test_keys_that_coerce_to_one_vector_are_summed():
     half = {"dim": 1, "terms": [{"v": ["1/2"], "c": "1"}, {"v": ["2/4"], "c": "1"}]}
     assert element_from_json(half) == monomial(1, (Q(1, 2),), 2)
     x = GroupRingElement(1, {(0,): 1, ("1/2",): 1, ("2/4",): 1})
-    assert (x.coefficient(("2/4",)), x.coefficient((0,)), x.coefficient(("1/4",)), x.coefficient((0, 0))) == (2, 1, 0, 0)
+    assert (x.coefficient(("2/4",)), x.coefficient((0,)), x.coefficient(("1/4",))) == (2, 1, 0)
     assert GroupRingElement(1, {("1",): 1, (1,): -1}) == GroupRingElement(1, {})
     assert len(GroupRingElement(1, {("1",): 1, (1,): -1})) == 0
     assert GroupRingElement(2, {("1/2", 0): 3, (Q(1, 2), "0"): -1}).terms == {(Q(1, 2), Q(0)): 2}
@@ -591,6 +591,8 @@ def test_packed_kernels_match_tuple_reference():
     lambda: one(1) * one(2),
     lambda: truncated_product([(vector([1, 0]), 1)], vector([1]), 5),
     lambda: exact_divide(one(1), one(2)),
+    lambda: one(2).coefficient((1, 0, 0)),
+    lambda: one(2).coefficient((1,)),
 ])
 def test_operands_of_two_dimensions_are_refused(call):
     with pytest.raises(ValueError, match="^dimension mismatch$"):
