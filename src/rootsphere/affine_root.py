@@ -360,7 +360,7 @@ def affine_weyl_rhs(spec: AffineSupportSpec, bound: int = DEFAULT_WEYL_BOUND) ->
     simples = _affine_base(spec.items, spec.grading)
     roots = [a.flatten() for a in simples]
     mirrors = [(Q(0),) + a.part for a in simples]
-    nodes, scale = _orbit_walk(mirrors, roots, roots, bound, spec.grading.flatten(), spec.cutoff)
+    nodes, scale = _orbit_walk(mirrors, roots, bound, spec.grading.flatten(), spec.cutoff)
     return GroupRingElement._from_ints(1 + spec.dim, scale, {key: (-1) ** d for key, d, _ in nodes})
 
 
@@ -468,6 +468,9 @@ def explicit_spec_to_json(spec: ExplicitAffineSupport) -> dict:
 
 
 def explicit_spec_from_json(d: dict) -> ExplicitAffineSupport:
+    """The explicit spec d holds; a "kind" other than "explicit" (a generated spec's, say) raises ValueError."""
+    if isinstance(d, dict) and d.get("kind", "explicit") != "explicit":
+        raise ValueError('input: field "kind" must be "explicit"')
     dim = json_field(d, "dim", coerce=integer)
     items = tuple(
         (affine_vector_from_json(item, where), json_field(item, "mult", where, integer))

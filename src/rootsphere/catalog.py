@@ -183,14 +183,28 @@ def divisors(n: int) -> list[int]:
     return small + large
 
 
+# Largest kmax of remark29_exponents and series_inversion_oracle.  The oracle
+# multiplies series of kmax terms whose coefficients grow to about kmax bits,
+# so its time grows about as kmax^3: ~0.7 s at 1000, ~5 s at 2000, ~18 s at
+# 3000.  A larger kmax is refused before any work rather than run for minutes.
+MAX_REMARK29_KMAX = 1000
+
+
+def _check_kmax(kmax: int) -> None:
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
+    if kmax > MAX_REMARK29_KMAX:
+        raise ValueError(f"kmax must be <= {MAX_REMARK29_KMAX}")
+
+
 def remark29_exponents(kmax: int) -> list[int]:
     """e_1..e_kmax with prod_k (1 - X^k)^{e_k} = 1 - 2X, via Moebius inversion.
 
     Asserts each value is a positive integer; a failure here would mean the
-    closed formula and the product identity disagree.
+    closed formula and the product identity disagree.  kmax runs from 1 to
+    MAX_REMARK29_KMAX; another raises ValueError.
     """
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
+    _check_kmax(kmax)
     out = []
     for k in range(1, kmax + 1):
         total = sum(mobius(k // d) * 2**d for d in divisors(k))
@@ -208,10 +222,9 @@ def series_inversion_oracle(kmax: int) -> list[int]:
 
     Keeps the residual series after stripping the factors found so far; its
     lowest nonconstant coefficient determines the next exponent.  Integer
-    arithmetic throughout.
+    arithmetic throughout.  kmax is checked as in remark29_exponents.
     """
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
+    _check_kmax(kmax)
     n = kmax
     residual = [0] * (n + 1)
     residual[0] = 1

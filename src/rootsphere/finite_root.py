@@ -329,42 +329,43 @@ def _order_of_components(components) -> int:
     return prod(_component_order(letter, rank) for letter, rank in components)
 
 
-def _orbit_walk(mirrors, roots, shifts, bound: int, grading=None, cutoff=None):
+def _orbit_walk(mirrors, roots, bound: int, grading=None, cutoff=None):
     """Breadth-first walk over the orbit vectors s(w) of a reflection group.
 
     Reflection i sends v to v - (2<m_i, v>/<m_i, m_i>) r_i, with m_i =
     mirrors[i] and r_i = roots[i].  The walk steps from s(w) to
-    s(s_i w) = s_i(s(w)) + shifts[i], starting at s(1) = 0, and
-    deduplicates by the vector, which is exact while w -> s(w) is
-    injective.  The depth of a node is the length of w, so det(w) =
-    (-1)^depth: a neighbour of a node at depth d-1 must sit at depth d-2
-    or d, and anything else (an odd cycle, so s is not injective) raises
-    ArithmeticError.  With a grading, a node of grade above the cutoff is
-    dropped; this is exact when the grade of s(w) rises along every
-    reduced word.  bound caps the number of nodes kept.
+    s(s_i w) = s_i(s(w)) + r_i, starting at s(1) = 0: the step of a
+    positive system, whose rho pairs to 1 with every simple coroot
+    (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    10.2, Lemma B).  It deduplicates by the vector, which is exact while
+    w -> s(w) is injective.  The depth of a node is the length of w, so
+    det(w) = (-1)^depth: a neighbour of a node at depth d-1 must sit at
+    depth d-2 or d, and anything else (an odd cycle, so s is not injective)
+    raises ArithmeticError.  With a grading, a node of grade above the
+    cutoff is dropped; this is exact when the grade of s(w) rises along
+    every reduced word.  bound caps the number of nodes kept.
 
     Vectors are keyed by their coordinates times a common denominator, the
-    returned scale.  A reflection coefficient that is not an integer (only
-    for sets that are not root systems) stays an exact Fraction on the same
-    path, and the keys and scale are multiplied out to integers at the end.
+    returned scale.  Every coefficient 2<m_i, v>/<m_i, m_i> is an integer
+    for the roots of a root system; one that is not raises ArithmeticError.
     Returns (nodes, scale); nodes are (key, depth, word) in order of depth
     then lexicographic word, where word is the lex-least path from the
     identity.
     """
-    vectors = [*mirrors, *roots, *shifts]
+    vectors = [*mirrors, *roots]
     prune = grading is not None
     if prune:
         vectors.append(grading)
     scale = _common_denominator(vectors)
     steps = []
-    for m, r, h in zip(mirrors, roots, shifts):
+    for m, r in zip(mirrors, roots):
         m = _int_key(m, scale)
-        steps.append((m, sum(map(mul, m, m)), _int_key(r, scale), _int_key(h, scale)))
+        steps.append((m, sum(map(mul, m, m)), _int_key(r, scale)))
     if prune:
         g = _int_key(grading, scale)
-        top, den = _grade_bound(cutoff, scale)
+        num, den = _grade_bound(cutoff, scale)
+        top = num // den
 
-    exact = True
     zero = (0,) * len(steps[0][0])
     depth = {zero: 0}
     nodes = [(zero, 0, ())]
@@ -374,18 +375,18 @@ def _orbit_walk(mirrors, roots, shifts, bound: int, grading=None, cutoff=None):
         d += 1
         nxt = []
         for v, word in layer:
-            for i, (m, mm, r, h) in enumerate(steps):
-                num = 2 * sum(map(mul, m, v))
-                c, rem = divmod(num, mm)
+            for i, (m, mm, r) in enumerate(steps):
+                # c is the coefficient less 1: s_i(v) + r_i = v - c r_i
+                c, rem = divmod(2 * sum(map(mul, m, v)) - mm, mm)
                 if rem:
-                    c, exact = Fraction(num, mm), False
-                u = tuple(x - c * y + z for x, y, z in zip(v, r, h))
+                    raise ArithmeticError("reflection coefficient is not an integer")
+                u = tuple(x - c * y for x, y in zip(v, r))
                 seen = depth.get(u)
                 if seen is not None:
                     if seen != d and seen != d - 2:
                         raise ArithmeticError("orbit collision: w -> s(w) was not injective")
                     continue
-                if prune and sum(map(mul, g, u)) * den > top:
+                if prune and sum(map(mul, g, u)) > top:
                     continue
                 if len(depth) >= bound:
                     raise GroupTooLargeError("group too large")
@@ -393,10 +394,6 @@ def _orbit_walk(mirrors, roots, shifts, bound: int, grading=None, cutoff=None):
                 nxt.append((u, word + (i,)))
         nodes.extend((u, d, word) for u, word in nxt)
         layer = nxt
-    if not exact:
-        den = _common_denominator(k for k, _, _ in nodes)
-        nodes = [(tuple(int(x * den) for x in k), dep, word) for k, dep, word in nodes]
-        scale *= den
     return nodes, scale
 
 
@@ -404,10 +401,12 @@ def enumerate_weyl(rplus, bound: int = DEFAULT_WEYL_BOUND) -> list[WeylElement]:
     """The reflection group of base(rplus), from the orbit walk of rho.
 
     rplus is a positive system; its simple roots are taken as base(rplus)
-    and rho = weyl_vector(rplus).  The walk steps by
-    s(s_i w) = s_i(s(w)) + <rho, a_i^v> a_i on s(w) = rho - w(rho); the
-    shift is a_i only when <rho, a_i^v> = 1, which need not hold for an
-    arbitrary rplus.  Elements come out sorted by word length then
+    and rho = weyl_vector(rplus).  The one precondition: rho pairs to 1
+    with every simple coroot, <rho, a_i^v> = 1, as it does for every
+    positive system of a root system; an rplus that breaks it raises
+    ValueError, and so does a base of no finite type ("unrecognized"), as
+    in classify.  The walk then steps by s(s_i w) = s_i(s(w)) + a_i on
+    s(w) = rho - w(rho).  Elements come out sorted by word length then
     lexicographic word.  The classification-based order check makes
     oversized groups fail before the walk starts; the bound is enforced
     during the walk as well, and a walk shorter than the classified order
@@ -417,17 +416,15 @@ def enumerate_weyl(rplus, bound: int = DEFAULT_WEYL_BOUND) -> list[WeylElement]:
     simples = base(pos)
     if not simples:
         raise ValueError("empty positive system")
-    try:
-        order = _order_of_components(_classify_components(simples))
-    except ValueError:
-        order = None
-    if order is not None and order > bound:
+    order = _order_of_components(_classify_components(simples))
+    rho = weyl_vector(pos)
+    if any(2 * inner(rho, a) != norm_sq(a) for a in simples):
+        raise ValueError("not a positive system: rho does not pair to 1 with every simple coroot")
+    if order > bound:
         raise GroupTooLargeError("group too large")
 
-    rho = weyl_vector(pos)
-    shifts = [vscale(2 * inner(rho, a) / norm_sq(a), a) for a in simples]
-    nodes, scale = _orbit_walk(simples, simples, shifts, bound)
-    if order is not None and len(nodes) != order:
+    nodes, scale = _orbit_walk(simples, simples, bound)
+    if len(nodes) != order:
         raise ArithmeticError("orbit collision: w -> rho - w(rho) was not injective")
     gens = tuple(simples)
     return [WeylElement(word, (-1) ** d, key, scale, gens) for key, d, word in nodes]
@@ -438,7 +435,9 @@ def denominator_rhs(rplus, bound: int = DEFAULT_WEYL_BOUND) -> GroupRingElement:
 
     It is summed as sum_w det(w) e^{rho - w^-1(rho)}, the same sum, since
     w -> w^-1 permutes the group and keeps det.  enumerate_weyl coerces
-    rplus and refuses an empty one; the identity's key gives the dimension.
+    rplus, refuses an empty one and checks the one precondition, that rho
+    pairs to 1 with every simple coroot; the identity's key gives the
+    dimension.
     """
     from .group_ring import GroupRingElement
 

@@ -883,6 +883,15 @@ def test_spec_json_round_trip():
     assert affine_vector_from_json(affine_vector_to_json(av)) == av
 
 
+@pytest.mark.parametrize("kind", ["generated", "generatd", None, 1])
+def test_explicit_reader_refuses_another_kind(kind):
+    # the fields of an explicit spec, so only the kind is wrong
+    spec = ExplicitAffineSupport(dim=1, items=((affine(1, [1]), 1),), grading=affine(1, [0]), cutoff=Q(2))
+    d = dict(explicit_spec_to_json(spec), kind=kind)
+    with pytest.raises(ValueError, match='^input: field "kind" must be "explicit"$'):
+        explicit_spec_from_json(d)
+
+
 def test_verdict_json_keys():
     v = characterize_affine(a1_spec(2))
     d = affine_verdict_to_json(v)

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from rootsphere.catalog import (
+    MAX_REMARK29_KMAX,
     _axis,
     _pm_pairs,
     default_grading,
@@ -189,6 +190,10 @@ def test_exponents_match_inversion_oracle():
     assert remark29_exponents(30) == series_inversion_oracle(30)
     with pytest.raises(ValueError, match="^kmax must be >= 1$"):
         series_inversion_oracle(0)
+    # the oracle's time grows about as kmax^3, so both routes refuse a kmax past the limit
+    for f in (remark29_exponents, series_inversion_oracle):
+        with pytest.raises(ValueError, match=f"^kmax must be <= {MAX_REMARK29_KMAX}$"):
+            f(MAX_REMARK29_KMAX + 1)
 
 
 def test_exponents_positivity_bound():

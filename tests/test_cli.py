@@ -303,6 +303,18 @@ def test_counterexample_remark29(capsys):
     assert "kmax" in err
 
 
+def test_counterexample_remark29_refuses_a_kmax_above_its_limit(capsys, monkeypatch):
+    import rootsphere.catalog as catalog_mod
+
+    def no_oracle(kmax):
+        raise AssertionError("ran the oracle")
+
+    monkeypatch.setattr(catalog_mod, "series_inversion_oracle", no_oracle)
+    code, out, err = run(capsys, "counterexample", "remark29", "--kmax", str(catalog_mod.MAX_REMARK29_KMAX + 1))
+    assert (code, out) == (2, "")
+    assert err == "error: kmax must be <= 1000\n"
+
+
 def test_counterexample_remark210(capsys):
     code, out, _ = run(capsys, "counterexample", "remark210")
     assert code == 0

@@ -19,7 +19,6 @@ from rootsphere.finite_root import (
     denominator_rhs,
     enumerate_weyl,
     finite_verdict_to_json,
-    identity_matrix,
     mat_det,
     mat_mul,
     mat_vec,
@@ -311,34 +310,28 @@ def test_denominator_identity_catalog(name):
     assert len(rhs.terms) == entry.expected_weyl_order
 
 
-def _matrix_alternating_sum(rplus):
-    """sum_w det(w) e^{rho - w(rho)} over the group the reflections in base(rplus)
-    generate, walked on matrices: independent of the orbit walk's shifts."""
-    gens = [reflection_matrix(a) for a in base(rplus)]
-    ident = identity_matrix(len(rplus[0]))
-    group = {ident}
-    layer = [ident]
-    while layer:
-        layer = [m for m in {mat_mul(m, g) for m in layer for g in gens} if m not in group]
-        group.update(layer)
-    rho = weyl_vector(rplus)
-    terms = {}
-    for m in group:
-        key = tuple(r - x for r, x in zip(rho, mat_vec(m, rho)))
-        terms[key] = terms.get(key, 0) + int(mat_det(m))
-    return terms
-
-
 @pytest.mark.parametrize("rplus", [[(1, 0), (1, 1)], [(1, 0), (-3, 3)]])
 def test_denominator_rhs_of_sets_that_are_not_root_systems(rplus):
-    # <rho, a^v> is 2 and 3/2, or -2 and 5/6, on the simple roots: the orbit
-    # step shifts by <rho, a^v> a, not by a
+    # an acute pair of simple roots, and a pair whose Cartan integer -1/3 is
+    # off the integers: bases of no finite type, refused as classify refuses them
     rplus = [vector(a) for a in rplus]
-    expected = _matrix_alternating_sum(rplus)
-    assert len(expected) == 8
-    assert denominator_rhs(rplus).terms == expected
-    # the base is not classified, so the walk runs without the order gate
-    assert sorted(w.det for w in enumerate_weyl(rplus)) == [-1] * 4 + [1] * 4
+    for f in (enumerate_weyl, denominator_rhs):
+        with pytest.raises(ValueError, match="^unrecognized$"):
+            f(rplus)
+
+
+def test_every_positive_system_of_small_types_is_accepted():
+    # w(R+) for every w: all positive systems of each type, whose rho pairs to 1 with every simple coroot
+    from rootsphere.catalog import standard_finite
+
+    count = 0
+    for name in ("A2", "B2", "G2", "A3", "B3", "C3"):
+        positive = standard_finite(name).positive
+        for w in enumerate_weyl(positive):
+            wplus = [mat_vec(w.matrix, a) for a in positive]
+            assert denominator_rhs(wplus) == expand_product(SupportMap(len(wplus[0]), {a: 1 for a in wplus}))
+            count += 1
+    assert count == 146
 
 
 def test_characterize_multiplicity_two():
@@ -515,11 +508,23 @@ def test_classify_and_weyl_order_of_catalog_products(names, expected, order):
 
 
 def test_orbit_walk_refuses_a_rho_on_a_mirror():
-    # rho = (0, 1/2) lies on the mirror of (1, 0), so two group elements share s(w)
+    # a B2 base whose rho = (0, 1/2) lies on the mirror of (1, 0): <rho, (1, 0)^v> is 0, not 1
     rplus = [vector([1, 0]), vector([-1, 1])]
     for f in (enumerate_weyl, denominator_rhs):
-        with pytest.raises(ArithmeticError, match=r"^orbit collision: w -> s\(w\) was not injective$"):
+        with pytest.raises(ValueError, match="^not a positive system: rho does not pair to 1 with every simple coroot$"):
             f(rplus)
+
+
+def test_orbit_walk_safety_checks():
+    from rootsphere.finite_root import _orbit_walk
+
+    one, two, three = vector([1]), vector([2]), vector([3])
+    # the reflections in (1) and (2) are one reflection: s(s_2 s_1) = s_2((1)) + (2) = (1) = s(s_1), a node of depth 1 met at depth 2
+    with pytest.raises(ArithmeticError, match=r"^orbit collision: w -> s\(w\) was not injective$"):
+        _orbit_walk([one, two], [one, two], 100)
+    # from s = (1), the coefficient 2<(3), (1)>/<(3), (3)> is 2/3
+    with pytest.raises(ArithmeticError, match="^reflection coefficient is not an integer$"):
+        _orbit_walk([three], [one], 100)
 
 
 def test_classify_names_exactly_the_sets_that_pass_the_axioms():
