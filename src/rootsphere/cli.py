@@ -166,17 +166,23 @@ def _cmd_denominator(args) -> dict:
 
 
 def _cmd_macdonald(args) -> dict:
+    from collections import Counter
+    from operator import mul
+
     from .affine_root import affine_weyl_rhs
+    from .exact import Q, _common_denominator, _int_key
     from .group_ring import truncated_product
 
     spec = _affine_spec("catalog-affine:" + args.name, args.cutoff)
     factors = [(av.flatten(), mult) for av, mult in spec.items]
-    lhs = truncated_product(factors, spec.grading.flatten(), spec.cutoff)
+    grading = spec.grading.flatten()
+    lhs = truncated_product(factors, grading, spec.cutoff)
     rhs = affine_weyl_rhs(spec, _weyl_bound(args))
-    per_grade: dict[str, int] = {}
-    for v in lhs.support():
-        g = sum(c * n for c, n in zip(v, spec.grading.flatten()))
-        per_grade[str(g)] = per_grade.get(str(g), 0) + 1
+    # a key k of lhs at scale s has grade <k, g>/(s*d), g the grading times d
+    d = _common_denominator([grading])
+    g = _int_key(grading, d)
+    counts = Counter(sum(map(mul, k, g)) for k in lhs._ints)
+    per_grade = {str(Q(n, lhs._scale * d)): c for n, c in counts.items()}
     return {
         "name": spec.name,
         "cutoff": str(spec.cutoff),

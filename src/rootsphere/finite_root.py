@@ -570,29 +570,49 @@ class FiniteVerdict(NamedTuple):
 def characterize_finite(m: SupportMap) -> FiniteVerdict:
     """Decide sphere support geometrically and axiomatically; the routes must agree.
 
-    Geometric route: expand prod (1-e^s)^m(s) and fit a sphere through the
-    support of the expansion.  Axiomatic route: S and -S disjoint, all
+    Geometric route: test one distance on half the support of
+    F = prod (1-e^s)^m(s).  Axiomatic route: S and -S disjoint, all
     multiplicities 1, and S union -S passes the root-system axioms relative
     to its span.  Disagreement raises VerdictMismatchError.  A negative
     multiplicity (only a SignedSupportMap has one) raises ValueError before
     any expansion.
 
-    The witness is centered at rho_m = 1/2 sum m(s)*s: the coefficient at
-    2*rho_m - x is (-1)^(sum m) times the one at x, as
-    1 - e^-s = -e^-s (1 - e^s), and the hull circumcenter is unique.
-    2*rho_m = x + (2*rho_m - x) has an integer key.  A one-point support,
-    rho_m itself (0 for an empty S), keeps fit_sphere's witness, one unit
-    along e_1 at radius 1 (none in dimension 0): the library refuses radius 0.
+    The support is symmetric about rho_m = 1/2 sum m(s)*s: the coefficient
+    at 2*rho_m - x is (-1)^(sum m) times the one at x, as
+    1 - e^-s = -e^-s (1 - e^s).  So the hull circumcenter, the center of any
+    sphere through the support, is rho_m.  With a functional g nonzero on S
+    (generic_separator), each s with g(s) < 0 is flipped by
+    (1-e^s)^k = (-1)^k e^(ks) (1-e^-s)^k: that translates the support, and
+    the flipped product F' has every factor of positive grade, 0 in its
+    support and its center rho' at grade g(rho').  Its terms of grade at
+    most g(rho'), which truncated_product builds, meet every pair x,
+    2*rho' - x; the point reflection keeps the sphere about rho', so F is on
+    a sphere exactly when that half is on the sphere about rho'.  The
+    witness is centered at rho_m, with the same radius.  A one-point
+    support, rho_m itself (0 for an empty S), keeps fit_sphere's witness,
+    one unit along e_1 at radius 1 (none in dimension 0): the library
+    refuses radius 0.
     """
-    from .group_ring import expand_product
-    from .quadric import _fit_sphere_keys, _sphere_about
+    from .group_ring import _common_ints, monomial, truncated_product
+    from .quadric import SphereFit, _fit_sphere_keys, _sphere_about
 
     if any(c < 0 for c in m.entries.values()):
         raise ValueError("finite check needs nonnegative multiplicities")
-    expansion = expand_product(m)
-    keys, scale = list(expansion._ints), expansion._scale
-    two_rho = map(sum, zip(*(vscale(k, v) for v, k in m.entries.items())))
-    fit = _sphere_about(keys, scale, 2, _int_key(two_rho, scale)) if len(keys) > 1 else _fit_sphere_keys(keys, scale)
+    if m.entries:
+        grading = generic_separator(list(m.entries), zero_vector(m.dim))
+        flipped: dict = {}
+        for v, k in m.entries.items():
+            v = vneg(v) if inner(v, grading) < 0 else v
+            flipped[v] = flipped.get(v, 0) + k
+        two_rho = tuple(map(sum, zip(*(vscale(k, v) for v, k in flipped.items()))))
+        half = truncated_product(sorted(flipped.items()), grading, inner(two_rho, grading) / 2)
+        scale, (ints, (center,)) = _common_ints(half, monomial(m.dim, two_rho))
+        fit = _sphere_about(list(ints), scale, 2, center)
+        if fit is not None:
+            rho = map(sum, zip(*(vscale(k, v) for v, k in m.entries.items())))
+            fit = SphereFit(vscale(Q(1, 2), rho), fit.radius_sq)
+    else:
+        fit = _fit_sphere_keys([(0,) * m.dim], 1)
     on_sphere = fit is not None
 
     s = set(m.entries)

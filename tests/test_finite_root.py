@@ -373,14 +373,19 @@ def test_characterize_refuses_a_negative_multiplicity_before_expanding(monkeypat
 def test_support_is_symmetric_about_rho_and_the_verdict_fit_is_the_general_fit():
     # 1 - e^-s = -e^-s (1 - e^s): the coefficient at 2*rho_m - x is (-1)^(sum m) times the one at x
     rng = random.Random(2424)
-    seen = {"sphere": 0, "none": 0}
-    for _ in range(1000):
+    seen = {"sphere": 0, "none": 0, "s and -s": 0}
+    for trial in range(1400):
+        # after the first 1000 maps: multiplicities up to 3, and about half the s drawn with -s beside them
+        wide = trial >= 1000
         dim = rng.randint(1, 3)
         entries = {}
         for _ in range(rng.randint(0, 5)):
             v = vector([Q(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(dim)])
             if any(v):
-                entries[v] = rng.randint(1, 2)
+                entries[v] = rng.randint(1, 3 if wide else 2)
+                if wide and rng.random() < 0.5:
+                    entries[vneg(v)] = rng.randint(1, 3)
+        seen["s and -s"] += any(vneg(v) in entries for v in entries)
         m = SupportMap(dim, entries)
         expansion = expand_product(m)
         two_rho = zero_vector(dim)
@@ -394,6 +399,21 @@ def test_support_is_symmetric_about_rho_and_the_verdict_fit_is_the_general_fit()
         assert fit == fit_sphere(expansion.support())
         seen["none" if fit is None else "sphere"] += 1
     assert min(seen.values()) > 150, seen
+
+
+def test_the_verdict_builds_no_more_than_half_the_support(monkeypatch):
+    # A6's positives: the half product's accumulator peaks at 4 702 terms, the full expansion's at 6 720
+    import rootsphere.group_ring as group_ring_mod
+    from rootsphere.catalog import standard_finite
+    from rootsphere.group_ring import ExpansionTooLargeError
+
+    a6 = standard_finite("A6")
+    m = SupportMap(a6.ambient_dim, {a: 1 for a in a6.positive})
+    monkeypatch.setattr(group_ring_mod, "MAX_EXPANSION_TERMS", 5600)
+    verdict = characterize_finite(m)
+    assert verdict.on_sphere and verdict.type_name == "A6"
+    with pytest.raises(ExpansionTooLargeError, match="^expansion too large$"):
+        expand_product(m)
 
 
 def test_the_verdict_and_remark_210_fits_solve_no_linear_system(monkeypatch):
