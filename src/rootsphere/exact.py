@@ -24,11 +24,14 @@ class VerdictMismatchError(RuntimeError):
 def rational(x) -> Fraction:
     """Coerce ints, strings like "3/5" or "-2", and Fractions to Fraction.
 
-    A zero denominator, as in "1/0", raises ValueError, the error of any
-    other string that names no rational.
+    bool and float raise TypeError: a JSON true is not the number 1.  A zero
+    denominator, as in "1/0", raises ValueError, the error of any other
+    string that names no rational.
     """
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise TypeError("a boolean is not a number")
     if isinstance(x, float):
         raise TypeError("floating point is not allowed; use Fraction or str")
     try:

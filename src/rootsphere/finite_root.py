@@ -580,43 +580,47 @@ def characterize_finite(m: SupportMap) -> FiniteVerdict:
     The support is symmetric about rho_m = 1/2 sum m(s)*s: the coefficient
     at 2*rho_m - x is (-1)^(sum m) times the one at x, as
     1 - e^-s = -e^-s (1 - e^s).  So the hull circumcenter, the center of any
-    sphere through the support, is rho_m.  With a functional g nonzero on S
-    (generic_separator), each s with g(s) < 0 is flipped by
-    (1-e^s)^k = (-1)^k e^(ks) (1-e^-s)^k: that translates the support, and
-    the flipped product F' has every factor of positive grade, 0 in its
-    support and its center rho' at grade g(rho').  Its terms of grade at
-    most g(rho'), which truncated_product builds, meet every pair x,
-    2*rho' - x; the point reflection keeps the sphere about rho', so F is on
-    a sphere exactly when that half is on the sphere about rho'.  The
-    witness is centered at rho_m, with the same radius.  A one-point
+    sphere through the support, is rho_m.  S is keyed once, on integers at
+    its common denominator, and each key k flips to the lexicographically
+    greater of k and -k by (1-e^s)^j = (-1)^j e^(js) (1-e^-s)^j (s and -s
+    sum into one factor): that translates the support.  The functional g of
+    generic_separator on the flipped keys is lexicographic, so every factor
+    of the flipped product F' has positive grade; F' has 0 in its support
+    and its center rho' at grade g(rho').  Its terms of grade at most
+    g(rho'), which truncated_product builds from the integer keys at scale
+    1, meet every pair x, 2*rho' - x; the point reflection keeps the sphere
+    about rho', so F is on a sphere exactly when that half is on the sphere
+    about rho'.  The witness is centered at rho_m, with the same radius.  S
+    and -S are disjoint exactly when no two keys flip together.  A one-point
     support, rho_m itself (0 for an empty S), keeps fit_sphere's witness,
     one unit along e_1 at radius 1 (none in dimension 0): the library
     refuses radius 0.
     """
-    from .group_ring import _common_ints, monomial, truncated_product
+    from .group_ring import truncated_product
     from .quadric import SphereFit, _fit_sphere_keys, _sphere_about
 
     if any(c < 0 for c in m.entries.values()):
         raise ValueError("finite check needs nonnegative multiplicities")
+    flipped: dict = {}
     if m.entries:
-        grading = generic_separator(list(m.entries), zero_vector(m.dim))
-        flipped: dict = {}
-        for v, k in m.entries.items():
-            v = vneg(v) if inner(v, grading) < 0 else v
-            flipped[v] = flipped.get(v, 0) + k
-        two_rho = tuple(map(sum, zip(*(vscale(k, v) for v, k in flipped.items()))))
-        half = truncated_product(sorted(flipped.items()), grading, inner(two_rho, grading) / 2)
-        scale, (ints, (center,)) = _common_ints(half, monomial(m.dim, two_rho))
-        fit = _sphere_about(list(ints), scale, 2, center)
+        scale = _common_denominator(m.entries)
+        keys = {_int_key(v, scale): j for v, j in m.entries.items()}
+        for k, j in keys.items():
+            k = max(k, tuple(-x for x in k))
+            flipped[k] = flipped.get(k, 0) + j
+        grading = tuple(x.numerator for x in generic_separator(list(flipped), [0] * m.dim))
+        two_rho = [sum(j * k[i] for k, j in flipped.items()) for i in range(m.dim)]
+        half = truncated_product(sorted(flipped.items()), grading, Q(sum(map(mul, two_rho, grading)), 2))
+        fit = _sphere_about(list(half._ints), scale, 2, two_rho)
         if fit is not None:
-            rho = map(sum, zip(*(vscale(k, v) for v, k in m.entries.items())))
-            fit = SphereFit(vscale(Q(1, 2), rho), fit.radius_sq)
+            center = tuple(Q(sum(j * k[i] for k, j in keys.items()), 2 * scale) for i in range(m.dim))
+            fit = SphereFit(center, fit.radius_sq)
     else:
         fit = _fit_sphere_keys([(0,) * m.dim], 1)
     on_sphere = fit is not None
 
     s = set(m.entries)
-    disjoint = not any(vneg(v) in s for v in s)
+    disjoint = len(flipped) == len(m.entries)
     mults_ok = all(c == 1 for c in m.entries.values())
     rs = RootSystem(m.dim, tuple(s) + tuple(vneg(v) for v in s))
     axioms = check_axioms(rs)

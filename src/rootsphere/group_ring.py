@@ -268,26 +268,33 @@ def _packing(lo, hi):
     return pack, unpack, s * n
 
 
-def _factor_box(keys, dim: int) -> tuple[list[int], list[int]]:
-    """Per-coordinate range of every partial product of the factors (k, mult)."""
+def _times_binomials(keys, grades, top: int, dim: int) -> dict:
+    """Product of (1 - e^k)^mult over integer keys (k, mult) of length dim, keeping the terms of grade <= top.
+
+    Each factor's integer grade is given in grades, and a term's grade is
+    the sum of its factors' grades.  Keys are packed (_packing) over the box
+    of every partial product, coordinate j between sum mult*min(0, k_j) and
+    sum mult*max(0, k_j), and the grade rides on the packed key as a leading
+    digit, so packed keys of higher grade are greater.  The factors are
+    multiplied into one accumulator in order.  A factor's terms e^{jk} carry
+    c_j = (-1)^j * C(mult, j), built by the recurrence
+    c_j = -c_(j-1) * (mult - j + 1) / j only while their packed key is below
+    the cap, the least packed key of grade top + 1, so a term above grade
+    top is never built.  With positive grades the terms rise with j and the
+    inner loop stops at the first key at or above the cap; every key of the
+    accumulator is then >= 0, so that loop would not have read the terms
+    left out.  With every grade 0 and top 0, as in expand_product, every
+    term is kept.  ExpansionTooLargeError is raised once the accumulator
+    passes MAX_EXPANSION_TERMS.  Returns the unpacked keys' coefficients.
+    """
     lo = [sum(mult * min(0, k[j]) for k, mult in keys) for j in range(dim)]
     hi = [sum(mult * max(0, k[j]) for k, mult in keys) for j in range(dim)]
-    return lo, hi
-
-
-def _times_binomials(factors, cap: int) -> dict:
-    """Product of (1 - e^p)^mult over packed keys p, factor by factor into one dict.
-
-    A factor's terms e^{jp} carry c_j = (-1)^j * C(mult, j), built by the
-    recurrence c_j = -c_(j-1) * (mult - j + 1) / j only while j*p < cap, so
-    a term at or above the cap is never built.  For p > 0 the terms rise
-    with j and the inner loop stops at the first key >= cap; when every key
-    of acc is >= 0, as in truncated_product, that loop would not have read
-    the terms left out.  A cap above every key of the box, as in
-    expand_product, keeps all terms.
-    """
+    pack, unpack, w = _packing(lo, hi)
+    # a key carries grade g exactly when g * 2^w - 2^w/2 < key < g * 2^w + 2^w/2; in dimension 0, w = 0 and key = g
+    cap = ((top + 1) << w) - ((1 << w) >> 1)
     acc = {0: 1}
-    for p, mult in factors:
+    for (k, mult), g in zip(keys, grades):
+        p = (g << w) + pack(k)
         out = dict(acc)
         get = out.get
         fac, c = [], 1
@@ -309,30 +316,24 @@ def _times_binomials(factors, cap: int) -> dict:
         if len(out) > MAX_EXPANSION_TERMS:
             raise ExpansionTooLargeError("expansion too large")
         acc = out
-    return acc
+    return {unpack(k): c for k, c in acc.items() if k < cap}
 
 
 def expand_product(m: SupportMap) -> GroupRingElement:
     """Exact expansion of prod_s (1 - e^s)^m(s), factor by factor.
 
-    The binomial factors of the positive multiplicities, in lexicographic
-    order of their support vectors, are multiplied into one accumulator on
-    packed integer keys.  The packing base covers every coordinate of every
-    partial product: coordinate j lies between sum m*min(0, s_j) and
-    sum m*max(0, s_j).  ExpansionTooLargeError is raised once the
-    accumulator passes MAX_EXPANSION_TERMS.  With no positive multiplicity
-    the accumulator stays {0: 1}, the empty product one(dim).  A negative
-    multiplicity (only a SignedSupportMap has one) divides its factor out
-    exactly, once per unit, from the product of the positive factors;
-    NotDivisibleError is raised when the quotient is not a Laurent
-    polynomial.
+    The binomial factors of the positive multiplicities, on integer keys and
+    in lexicographic order of their support vectors, go to _times_binomials
+    with every grade 0 and top 0, which keeps every term.  With no positive
+    multiplicity the product is one(dim).  A negative multiplicity (only a
+    SignedSupportMap has one) divides its factor out exactly, once per unit,
+    from the product of the positive factors; NotDivisibleError is raised
+    when the quotient is not a Laurent polynomial.
     """
     entries = [(v, mult) for v, mult in m.items() if mult > 0]
     scale = _common_denominator(v for v, _ in entries)
     keys = [(_int_key(v, scale), mult) for v, mult in entries]
-    pack, unpack, w = _packing(*_factor_box(keys, m.dim))
-    acc = _times_binomials([(pack(k), mult) for k, mult in keys], 1 << w)
-    out = GroupRingElement._from_ints(m.dim, scale, {unpack(k): c for k, c in acc.items()})
+    out = GroupRingElement._from_ints(m.dim, scale, _times_binomials(keys, [0] * len(keys), 0, m.dim))
     for v, mult in m.items():
         for _ in range(-mult):
             out = exact_divide(out, one(m.dim) - monomial(m.dim, v))
@@ -343,9 +344,11 @@ def truncated_product(factors: Iterable[tuple], grading, cutoff) -> GroupRingEle
     """Product of (1 - e^s)^mult keeping only terms of grade <= cutoff.
 
     Every factor must have strictly positive grade, so a term of grade
-    above the cutoff has no descendant below it.  The integer grade rides
-    on each packed key as a leading digit; a factor's terms come in order
-    of rising grade, and a term above the cutoff is never built.
+    above the cutoff has no descendant below it.  Factors and grading are
+    keyed at one scale, the lcm of their denominators, which is 1 when they
+    are integers; _times_binomials multiplies the factors in order with
+    their integer grades <v_int, g_int> and top (cutoff * scale^2) rounded
+    down.
     """
     nhat = vector(grading)
     cutoff = rational(cutoff)
@@ -363,12 +366,8 @@ def truncated_product(factors: Iterable[tuple], grading, cutoff) -> GroupRingEle
     grades = [sum(map(int.__mul__, k, gint)) for k, _ in keys]
     if any(g <= 0 for g in grades):
         raise ValueError("a factor with nonpositive grade")
-    pack, unpack, w = _packing(*_factor_box(keys, dim))
-    # a key carries grade g exactly when g * 2^w - 2^w/2 < key < g * 2^w + 2^w/2; in dimension 0, w = 0 and key = g
     num, den = _grade_bound(cutoff, scale)
-    cap = ((num // den + 1) << w) - ((1 << w) >> 1)
-    acc = _times_binomials([((g << w) + pack(k), mult) for (k, mult), g in zip(keys, grades)], cap)
-    return GroupRingElement._from_ints(dim, scale, {unpack(k): c for k, c in acc.items() if k < cap})
+    return GroupRingElement._from_ints(dim, scale, _times_binomials(keys, grades, num // den, dim))
 
 
 def exact_divide(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:

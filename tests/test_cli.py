@@ -447,6 +447,13 @@ def test_missing_json_fields_are_named_with_their_place(tmp_path, capsys):
             "support[0]: Invalid literal for Fraction: 'x'",
         ),
         (("check",), {"dim": 1, "support": [{"v": ["1"], "mult": True}]}, "support[0]: a boolean is not an integer"),
+        # a JSON true is no coordinate and no cutoff, though Fraction(True) is 1
+        (("check",), {"dim": 1, "support": [{"v": [True], "mult": 1}]}, "support[0]: a boolean is not a number"),
+        (
+            ("check", "--mode", "affine"),
+            {"kind": "generated", "name": "A1", "cutoff": True},
+            "cutoff: a boolean is not a number",
+        ),
         (
             ("expand",),
             {"dim": 1, "support": [{"v": ["1"], "mult": 1.5}]},

@@ -37,6 +37,8 @@ def test_rational_rejects_floats():
         rational(0.5)
     with pytest.raises(TypeError):
         vector([1, 0.5])
+    with pytest.raises(TypeError, match="^a boolean is not a number$"):
+        rational(True)
 
 
 def test_a_zero_denominator_is_a_value_error_and_json_names_its_place():

@@ -374,13 +374,15 @@ def test_support_is_symmetric_about_rho_and_the_verdict_fit_is_the_general_fit()
     # 1 - e^-s = -e^-s (1 - e^s): the coefficient at 2*rho_m - x is (-1)^(sum m) times the one at x
     rng = random.Random(2424)
     seen = {"sphere": 0, "none": 0, "s and -s": 0}
-    for trial in range(1400):
-        # after the first 1000 maps: multiplicities up to 3, and about half the s drawn with -s beside them
+    for trial in range(1600):
+        # after the first 1000 maps: multiplicities up to 3, and about half the s drawn with -s beside them;
+        # after the first 1400, denominators up to 3 too, so the keys' common scale reaches 6
         wide = trial >= 1000
+        den = 3 if trial >= 1400 else 2
         dim = rng.randint(1, 3)
         entries = {}
         for _ in range(rng.randint(0, 5)):
-            v = vector([Q(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(dim)])
+            v = vector([Q(rng.randint(-2, 2), rng.randint(1, den)) for _ in range(dim)])
             if any(v):
                 entries[v] = rng.randint(1, 3 if wide else 2)
                 if wide and rng.random() < 0.5:
@@ -402,14 +404,19 @@ def test_support_is_symmetric_about_rho_and_the_verdict_fit_is_the_general_fit()
 
 
 def test_the_verdict_builds_no_more_than_half_the_support(monkeypatch):
-    # A6's positives: the half product's accumulator peaks at 4 702 terms, the full expansion's at 6 720
+    # A6's positives: the half product's accumulator peaks at 4 702 terms, the full expansion's at 6 720;
+    # the half's keys are at the verdict's own scale, so no element is rescaled
     import rootsphere.group_ring as group_ring_mod
     from rootsphere.catalog import standard_finite
     from rootsphere.group_ring import ExpansionTooLargeError
 
+    def no_rescale(*xs):
+        raise AssertionError("rescaled an element")
+
     a6 = standard_finite("A6")
     m = SupportMap(a6.ambient_dim, {a: 1 for a in a6.positive})
     monkeypatch.setattr(group_ring_mod, "MAX_EXPANSION_TERMS", 5600)
+    monkeypatch.setattr(group_ring_mod, "_common_ints", no_rescale)
     verdict = characterize_finite(m)
     assert verdict.on_sphere and verdict.type_name == "A6"
     with pytest.raises(ExpansionTooLargeError, match="^expansion too large$"):
