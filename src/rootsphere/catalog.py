@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import combinations, product
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -32,27 +31,23 @@ class CatalogEntry(NamedTuple):
     expected_positive_count: int
 
 
-def _pm_pairs(n: int, idx) -> list[Vector]:
-    out = []
-    for i, j in combinations(idx, 2):
-        for si, sj in product((1, -1), repeat=2):
-            v = [Q(0)] * n
-            v[i], v[j] = Q(si), Q(sj)
-            out.append(tuple(v))
-    return out
+def _orbit(simple) -> list[tuple[tuple[int, ...], Vector]]:
+    """(key, root) of each root with these simple roots, sorted: finite_root._root_orbit of their keys.
 
-
-def _axis(n: int, i: int, s: int) -> Vector:
-    v = [Q(0)] * n
-    v[i] = Q(s)
-    return tuple(v)
-
-
-def _orbit(simple) -> list[Vector]:
-    """The roots with these simple roots: finite_root._root_orbit of their keys at the common denominator."""
+    The keys are at the simple roots' common denominator, and each distinct
+    integer coordinate becomes one Fraction, shared by every root that holds it.
+    """
     simple = [vector(a) for a in simple]
     scale = _common_denominator(simple)
-    return [tuple(Q(x, scale) for x in k) for k in _root_orbit([_int_key(a, scale) for a in simple])]
+    keys = sorted(_root_orbit([_int_key(a, scale) for a in simple]))
+    get = {x: Q(x, scale) for x in {x for k in keys for x in k}}.__getitem__
+    return [(k, tuple(map(get, k))) for k in keys]
+
+
+# Bourbaki's simple roots of the classical types (Plates I-IV): e_i - e_(i+1), then e_n for B_n, 2e_n for
+# C_n or e_(n-1) + e_n for D_n.  Each type maps to its least rank and the last two coordinates of that
+# root; A_n has no such root and takes n + 1 coordinates.
+_CLASSICAL = {"A": (1, ()), "B": (2, (0, 1)), "C": (3, (0, 2)), "D": (4, (1, 1))}
 
 
 # Bourbaki's simple roots a_1, ..., a_8 of E8 (Lie Groups and Lie Algebras, Ch. 4-6, Plate VII).
@@ -78,20 +73,15 @@ def _parse_name(name: str) -> tuple[str, int]:
     return name[0], int(name[1:])
 
 
-def _build_roots(letter: str, n: int) -> tuple[int, list[Vector]]:
-    """Ambient dimension and root list for a validated name."""
-    if letter == "A" and n >= 1:
-        return n + 1, [a for a in _pm_pairs(n + 1, range(n + 1)) if sum(a) == 0]
-    if letter == "B" and n >= 2:
-        roots = _pm_pairs(n, range(n))
-        roots += [_axis(n, i, s) for i in range(n) for s in (1, -1)]
-        return n, roots
-    if letter == "C" and n >= 3:
-        roots = _pm_pairs(n, range(n))
-        roots += [_axis(n, i, 2 * s) for i in range(n) for s in (1, -1)]
-        return n, roots
-    if letter == "D" and n >= 4:
-        return n, _pm_pairs(n, range(n))
+def _build_roots(letter: str, n: int) -> tuple[int, list[tuple[tuple[int, ...], Vector]]]:
+    """Ambient dimension and the _orbit of the simple roots, for a validated name."""
+    if letter in _CLASSICAL and n >= _CLASSICAL[letter][0]:
+        tail = _CLASSICAL[letter][1]
+        dim = n if tail else n + 1
+        simple = [tuple(int(j == i) - int(j == i + 1) for j in range(dim)) for i in range(dim - 1)]
+        if tail:
+            simple.append((0,) * (n - 2) + tail)
+        return dim, _orbit(simple)
     if letter == "E" and n in (6, 7, 8):
         return 8, _orbit(_E8_SIMPLE[:n])
     # Bourbaki's simple roots of F4 and G2 (Plates VIII and IX)
@@ -110,19 +100,21 @@ def standard_finite(name: str) -> CatalogEntry:
     differs from the lexicographic half of finite_root.positive_roots for
     some types: for A2 the catalog gives rho = (-1, 0, 1), the lexicographic
     half rho = (1, 0, -1).  The expected Weyl order comes from the
-    classification's order table.  The exceptional types are the orbits of
-    Bourbaki's simple roots; E6 and E7 sit in E8's coordinates.
+    classification's order table.  Every type is the orbit of Bourbaki's
+    simple roots under their reflections; E6 and E7 sit in E8's coordinates.
     """
     letter, n = _parse_name(name)
-    dim, roots = _build_roots(letter, n)
-    sep = tuple(Q(2**i) for i in range(dim))
-    positive = tuple(sorted(a for a in roots if inner(sep, a) > 0))
+    dim, orbit = _build_roots(letter, n)
+    roots = tuple(a for _, a in orbit)
+    # a root's key is a positive multiple of it, so the functional has one sign on both, and the
+    # roots come sorted as their keys do
+    positive = tuple(a for k, a in orbit if sum(x << i for i, x in enumerate(k)) > 0)
     if 2 * len(positive) != len(roots):
         raise ArithmeticError("canonical functional failed to split the roots")
     return CatalogEntry(
         name=f"{letter}{n}",
         ambient_dim=dim,
-        roots=RootSystem(dim, tuple(roots)),
+        roots=RootSystem(dim, roots),
         positive=positive,
         expected_weyl_order=_component_order(letter, n),
         expected_positive_count=len(roots) // 2,

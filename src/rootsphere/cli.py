@@ -105,6 +105,17 @@ def _affine_spec(src: str, cutoff):
     return untwisted_affine(name, cutoff, grading)
 
 
+def _positive_bound(text: str) -> int:
+    """A --weyl-bound as an int of at least 1; argparse prefixes the flag to the error."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def _weyl_bound(args) -> int:
     """--weyl-bound, or the library's DEFAULT_WEYL_BOUND when it is not given."""
     from .finite_root import DEFAULT_WEYL_BOUND
@@ -251,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("name", help="catalog name, e.g. A2")
     sp.add_argument(
         "--weyl-bound",
-        type=int,
+        type=_positive_bound,
         default=None,
         help="fail with 'group too large' when the classified group order (checked before the walk) "
         "or the number of group elements walked passes this",
@@ -262,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cutoff", type=rational, default=None)
     sp.add_argument(
         "--weyl-bound",
-        type=int,
+        type=_positive_bound,
         default=None,
         help="fail with 'group too large' once more group elements than this have grade <= cutoff",
     )

@@ -316,15 +316,25 @@ def span_rank(vectors: Sequence[Iterable]) -> tuple[int, list[int]]:
     return len(picked), picked
 
 
+def _lex_functional(rows) -> list[int]:
+    """Weights (M^(k-1), ..., M, 1), M = 2*max|x| + 1, for nonempty integer rows of length k.
+
+    The dot product of a row with them takes the sign of the row's first
+    nonzero entry, whose term outweighs all later ones together.
+    """
+    m = 2 * max(abs(x) for row in rows for x in row) + 1
+    return [m**j for j in reversed(range(len(rows[0])))]
+
+
 def generic_separator(S: Sequence[Iterable], p: Iterable) -> Vector:
     """A functional n with {s in S : <s,n> = 0} = (line through p) intersect S, in closed form.
 
     With d_0, ..., d_(k-1) the kernel basis of <p, x> = 0 (the unit vectors
     when p = 0), s is on the line exactly when every <s, d_j> is 0.  With
     those values scaled to integers a_j (by the common denominators of S and
-    of the d_j) and M = 2*max|a_j| + 1, n = sum_j M^(k-1-j)*d_j gives <s, n>
-    the sign of the first nonzero a_j, whose term outweighs all later ones
-    together.  n is checked exactly on every point before it is returned.
+    of the d_j), n = sum_j w_j*d_j with the weights w of _lex_functional
+    gives <s, n> the sign of the first nonzero a_j.  n is checked exactly on
+    every point before it is returned.
     """
     pts = [vector(s) for s in S]
     if not pts:
@@ -344,9 +354,8 @@ def generic_separator(S: Sequence[Iterable], p: Iterable) -> Vector:
     ds, dd = _common_denominator(pts), _common_denominator(dirs)
     keys, dkeys = [_int_key(s, ds) for s in pts], [_int_key(d, dd) for d in dirs]
     a = [[sum(map(mul, s, d)) for d in dkeys] for s in keys]
-    m = 2 * max(abs(x) for row in a for x in row) + 1
-    k = len(dirs)
-    sep = [sum(m ** (k - 1 - j) * d[i] for j, d in enumerate(dkeys)) for i in range(dim)]
+    w = _lex_functional(a)
+    sep = [sum(map(mul, w, col)) for col in zip(*dkeys)]
     for s, row in zip(keys, a):
         if (sum(map(mul, s, sep)) == 0) != (not any(row)):
             raise ArithmeticError("separator failed exact verification")

@@ -17,6 +17,7 @@ from .exact import (
     _common_denominator,
     _grade_bound,
     _int_key,
+    _lex_functional,
     generic_separator,
     inner,
     integer,
@@ -164,7 +165,11 @@ def check_axioms(rs: RootSystem) -> AxiomReport:
     """
     scale = _common_denominator(rs.roots)
     keys = {_int_key(a, scale) for a in rs.roots}
-    half = {max(k, tuple(-x for x in k)) for k in keys}
+    return _axiom_report({max(k, tuple(-x for x in k)) for k in keys}, keys)
+
+
+def _axiom_report(half, keys) -> AxiomReport:
+    """check_axioms of the integer key set keys, whose half holds max(k, -k) of each k: one pass over half."""
     fr2, fr3 = _reflection_closure([(k, sum(map(mul, k, k)), k) for k in half], half, keys)
     fr5 = _only_opposite_parallels(half)
     return AxiomReport(fr1=True, fr2=fr2, fr3=fr3, fr4=True, fr5=fr5, rank=span_rank(half)[0])
@@ -583,20 +588,26 @@ def characterize_finite(m: SupportMap) -> FiniteVerdict:
     sphere through the support, is rho_m.  S is keyed once, on integers at
     its common denominator, and each key k flips to the lexicographically
     greater of k and -k by (1-e^s)^j = (-1)^j e^(js) (1-e^-s)^j (s and -s
-    sum into one factor): that translates the support.  The functional g of
-    generic_separator on the flipped keys is lexicographic, so every factor
-    of the flipped product F' has positive grade; F' has 0 in its support
-    and its center rho' at grade g(rho').  Its terms of grade at most
-    g(rho'), which truncated_product builds from the integer keys at scale
-    1, meet every pair x, 2*rho' - x; the point reflection keeps the sphere
-    about rho', so F is on a sphere exactly when that half is on the sphere
-    about rho'.  The witness is centered at rho_m, with the same radius.  S
-    and -S are disjoint exactly when no two keys flip together.  A one-point
-    support, rho_m itself (0 for an empty S), keeps fit_sphere's witness,
-    one unit along e_1 at radius 1 (none in dimension 0): the library
-    refuses radius 0.
+    sum into one factor): that translates the support.  The lexicographic
+    functional g of the flipped keys (exact._lex_functional, the closed form
+    of generic_separator at 0) is positive on each of them, which is checked
+    exactly, so every factor of the flipped product F' has positive grade;
+    F' has 0 in its support and its center rho' at grade g(rho').  Its terms
+    of grade at most g(rho'), which group_ring._times_binomials builds from
+    the integer keys, meet every pair x, 2*rho' - x; the point reflection
+    keeps the sphere about rho', so F is on a sphere exactly when that half
+    is on the sphere about rho'.  The witness is centered at rho_m, with the
+    same radius.  S and -S are disjoint exactly when no two keys flip
+    together.  A one-point support, rho_m itself (0 for an empty S), keeps
+    fit_sphere's witness, one unit along e_1 at radius 1 (none in dimension
+    0): the library refuses radius 0.
+
+    The flipped keys are the half of S union -S that check_axioms takes, so
+    the axioms are one pass over them and their negatives (_axiom_report);
+    RootSystem(S union -S) is built only for an accepted verdict, as
+    recovered.
     """
-    from .group_ring import truncated_product
+    from .group_ring import _times_binomials
     from .quadric import SphereFit, _fit_sphere_keys, _sphere_about
 
     if any(c < 0 for c in m.entries.values()):
@@ -608,10 +619,14 @@ def characterize_finite(m: SupportMap) -> FiniteVerdict:
         for k, j in keys.items():
             k = max(k, tuple(-x for x in k))
             flipped[k] = flipped.get(k, 0) + j
-        grading = tuple(x.numerator for x in generic_separator(list(flipped), [0] * m.dim))
-        two_rho = [sum(j * k[i] for k, j in flipped.items()) for i in range(m.dim)]
-        half = truncated_product(sorted(flipped.items()), grading, Q(sum(map(mul, two_rho, grading)), 2))
-        fit = _sphere_about(list(half._ints), scale, 2, two_rho)
+        factors = sorted(flipped.items())
+        grading = _lex_functional([k for k, _ in factors])
+        grades = [sum(map(mul, k, grading)) for k, _ in factors]
+        if any(g <= 0 for g in grades):
+            raise ArithmeticError("a flipped factor with nonpositive grade")
+        two_rho = [sum(j * k[i] for k, j in factors) for i in range(m.dim)]
+        half = _times_binomials(factors, grades, sum(map(mul, two_rho, grading)) // 2, m.dim)
+        fit = _sphere_about(list(half), scale, 2, two_rho)
         if fit is not None:
             center = tuple(Q(sum(j * k[i] for k, j in keys.items()), 2 * scale) for i in range(m.dim))
             fit = SphereFit(center, fit.radius_sq)
@@ -619,11 +634,9 @@ def characterize_finite(m: SupportMap) -> FiniteVerdict:
         fit = _fit_sphere_keys([(0,) * m.dim], 1)
     on_sphere = fit is not None
 
-    s = set(m.entries)
     disjoint = len(flipped) == len(m.entries)
     mults_ok = all(c == 1 for c in m.entries.values())
-    rs = RootSystem(m.dim, tuple(s) + tuple(vneg(v) for v in s))
-    axioms = check_axioms(rs)
+    axioms = _axiom_report(flipped, {*flipped, *(tuple(-x for x in k) for k in flipped)})
     axiomatic = disjoint and mults_ok and axioms.all_pass()
 
     if axiomatic != on_sphere:
@@ -631,11 +644,8 @@ def characterize_finite(m: SupportMap) -> FiniteVerdict:
             f"sphere verdict {on_sphere} disagrees with axiomatic verdict {axiomatic}"
         )
 
-    type_name = None
-    recovered = None
-    if axiomatic:
-        recovered = rs
-        type_name = classify(rs) if rs.roots else None
+    recovered = RootSystem(m.dim, (*m.entries, *map(vneg, m.entries))) if axiomatic else None
+    type_name = classify(recovered) if axiomatic and recovered.roots else None
     return FiniteVerdict(
         on_sphere=on_sphere,
         fit=fit,

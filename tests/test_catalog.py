@@ -1,13 +1,12 @@
 """Built-in systems, affine ladders, and the two boundary constructions."""
 
-from itertools import product
+from itertools import combinations, product
+from math import factorial
 
 import pytest
 
 from rootsphere.catalog import (
     MAX_REMARK29_KMAX,
-    _axis,
-    _pm_pairs,
     default_grading,
     divisors,
     mobius,
@@ -66,6 +65,56 @@ def test_g2_roots():
     assert all(sum(r) == 0 for r in roots)
     assert vector([1, -1, 0]) in roots
     assert vector([2, -1, -1]) in roots
+
+
+# The classical root sets by their textbook definitions (Humphreys, Introduction to Lie Algebras and
+# Representation Theory, 12.1): the reference for the catalog's simple-root orbits of A_n to D_n.
+def _pm_pairs(n, idx):
+    out = []
+    for i, j in combinations(idx, 2):
+        for si, sj in product((1, -1), repeat=2):
+            v = [Q(0)] * n
+            v[i], v[j] = Q(si), Q(sj)
+            out.append(tuple(v))
+    return out
+
+
+def _axis(n, i, s):
+    v = [Q(0)] * n
+    v[i] = Q(s)
+    return tuple(v)
+
+
+def _classical_roots(letter, n):
+    """(ambient dimension, roots): +-e_i +- e_j, with +-e_i for B_n or +-2e_i for C_n; A_n's sum to 0 in n + 1 coordinates."""
+    if letter == "A":
+        return n + 1, [a for a in _pm_pairs(n + 1, range(n + 1)) if sum(a) == 0]
+    roots = _pm_pairs(n, range(n))
+    if letter in "BC":
+        roots += [_axis(n, i, s * (1 if letter == "B" else 2)) for i in range(n) for s in (1, -1)]
+    return n, roots
+
+
+# Weyl group orders and positive-root counts (Bourbaki, Lie Groups and Lie Algebras, Plates I-IV)
+CLASSICAL_ORDERS = {
+    "A": lambda n: (factorial(n + 1), n * (n + 1) // 2),
+    "B": lambda n: (2**n * factorial(n), n * n),
+    "C": lambda n: (2**n * factorial(n), n * n),
+    "D": lambda n: (2 ** (n - 1) * factorial(n), n * (n - 1)),
+}
+CLASSICAL_NAMES = [f"{letter}{n}" for letter, least in zip("ABCD", (1, 2, 3, 4)) for n in range(least, 9)]
+
+
+@pytest.mark.parametrize("name", CLASSICAL_NAMES)
+def test_classical_entries_match_their_textbook_definitions(name):
+    letter, n = name[0], int(name[1:])
+    dim, roots = _classical_roots(letter, n)
+    # the catalog's positives are those of the functional (1, 2, 4, ...)
+    positive = tuple(sorted(a for a in roots if sum(2**i * c for i, c in enumerate(a)) > 0))
+    order, npos = CLASSICAL_ORDERS[letter](n)
+    assert len(positive) == npos and len(roots) == 2 * npos
+    entry = standard_finite(name)
+    assert entry == (name, dim, RootSystem(dim, tuple(roots)), positive, order, npos)
 
 
 # The exceptional root sets by their textbook definitions (Humphreys, Introduction to Lie

@@ -270,6 +270,22 @@ def test_macdonald_weyl_bound(capsys):
     assert "group too large" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["denominator", "A2", "--weyl-bound", "-3"], "must be at least 1, not -3"),
+        (["macdonald", "A1", "--cutoff", "2", "--weyl-bound", "0"], "must be at least 1, not 0"),
+        (["denominator", "A2", "--weyl-bound", "x"], "invalid int value: 'x'"),
+    ],
+)
+def test_a_weyl_bound_below_one_is_refused_when_parsed(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1].endswith(f"error: argument --weyl-bound: {message}")
+
+
 def test_check_e8_fails_fast_on_expansion_size(capsys):
     # the E8 expansion has |W(E8)| = 696729600 terms; the accumulator guard
     # must stop it after about a million, in seconds

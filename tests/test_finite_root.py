@@ -5,7 +5,20 @@ import random
 
 import pytest
 
-from rootsphere.exact import Q, inner, norm_sq, span_rank, vadd, vector, vneg, zero_vector
+from rootsphere.exact import (
+    Q,
+    _common_denominator,
+    _int_key,
+    _lex_functional,
+    generic_separator,
+    inner,
+    norm_sq,
+    span_rank,
+    vadd,
+    vector,
+    vneg,
+    zero_vector,
+)
 from rootsphere.finite_root import (
     AxiomReport,
     GroupTooLargeError,
@@ -180,7 +193,6 @@ def test_positive_roots():
 
 def test_positive_roots_separator_is_the_closed_form_generic_separator():
     from rootsphere.catalog import standard_finite
-    from rootsphere.exact import generic_separator
 
     rng = random.Random(4096)
     catalog = [standard_finite(name).roots for name in ("A1", "A3", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8")]
@@ -373,7 +385,7 @@ def test_characterize_refuses_a_negative_multiplicity_before_expanding(monkeypat
 def test_support_is_symmetric_about_rho_and_the_verdict_fit_is_the_general_fit():
     # 1 - e^-s = -e^-s (1 - e^s): the coefficient at 2*rho_m - x is (-1)^(sum m) times the one at x
     rng = random.Random(2424)
-    seen = {"sphere": 0, "none": 0, "s and -s": 0}
+    seen = {"sphere": 0, "none": 0, "s and -s": 0, "axioms fail": 0}
     for trial in range(1600):
         # after the first 1000 maps: multiplicities up to 3, and about half the s drawn with -s beside them;
         # after the first 1400, denominators up to 3 too, so the keys' common scale reaches 6
@@ -397,9 +409,17 @@ def test_support_is_symmetric_about_rho_and_the_verdict_fit_is_the_general_fit()
         for x in expansion.support():
             mirror = tuple(a - b for a, b in zip(two_rho, x))
             assert expansion.coefficient(mirror) == sign * expansion.coefficient(x)
-        fit = characterize_finite(m).fit
-        assert fit == fit_sphere(expansion.support())
-        seen["none" if fit is None else "sphere"] += 1
+        verdict = characterize_finite(m)
+        assert verdict.fit == fit_sphere(expansion.support())
+        seen["none" if verdict.fit is None else "sphere"] += 1
+        # the verdict's one axiom pass over its flipped keys is check_axioms of S and -S
+        assert verdict.axioms == check_axioms(RootSystem(dim, (*entries, *map(vneg, entries))))
+        seen["axioms fail"] += not verdict.axioms.all_pass()
+        # and it grades them by the lexicographic functional, generic_separator's closed form at 0
+        if entries:
+            scale = _common_denominator(entries)
+            flipped = {max(k, tuple(-x for x in k)) for k in (_int_key(v, scale) for v in entries)}
+            assert tuple(_lex_functional(list(flipped))) == generic_separator(list(flipped), zero_vector(dim))
     assert min(seen.values()) > 150, seen
 
 
