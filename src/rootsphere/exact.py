@@ -343,12 +343,9 @@ def generic_separator(S: Sequence[Iterable], p: Iterable) -> Vector:
     pv = vector(p)
     if len(pv) != dim or any(len(s) != dim for s in pts):
         raise ValueError("dimension mismatch")
-    if is_zero(pv):
-        dirs = [tuple(Q(int(i == j)) for j in range(dim)) for i in range(dim)]
-    else:
-        dirs = list(solve_linear([pv], [0]).kernel_basis)
+    dirs = list(solve_linear([pv], [0]).kernel_basis)
     if not dirs:
-        # p spans V (dimension 1): every point is on the line, nothing to separate
+        # p spans V (dimension 0 or 1): every point is on the line, nothing to separate
         return (Q(1),) * dim
 
     ds, dd = _common_denominator(pts), _common_denominator(dirs)

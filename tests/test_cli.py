@@ -187,19 +187,27 @@ def test_check_affine_generated_file(tmp_path, capsys):
 
 
 def test_classify_catalog(capsys):
-    code, out, _ = run(capsys, "classify", "catalog:D4")
-    assert code == 0
-    assert json.loads(out) == {"type": "D4"}
+    for name in ("D4", "E8"):
+        code, out, _ = run(capsys, "classify", f"catalog:{name}")
+        assert code == 0
+        assert json.loads(out) == {"type": name}
 
 
 def test_classify_file(tmp_path, capsys):
     rs = RootSystem(
         2, ((Q(1), Q(0)), (Q(-1), Q(0)), (Q(0), Q(1)), (Q(0), Q(-1)))
     )
-    src = write_json(tmp_path, "rs.json", root_system_to_json(rs))
-    code, out, _ = run(capsys, "classify", src)
-    assert code == 0
-    assert json.loads(out) == {"type": "A1×A1"}
+    # G2's catalog roots in coordinates 1-3, then +-e_4 and +-e_5: a product named by descending rank
+    g2a1a1 = {"dim": 5, "roots": [
+        ["1", "-1", "0", "0", "0"], ["0", "1", "-1", "0", "0"], ["1", "0", "-1", "0", "0"],
+        ["2", "-1", "-1", "0", "0"], ["-1", "2", "-1", "0", "0"], ["-1", "-1", "2", "0", "0"],
+        ["-1", "1", "0", "0", "0"], ["0", "-1", "1", "0", "0"], ["-1", "0", "1", "0", "0"],
+        ["-2", "1", "1", "0", "0"], ["1", "-2", "1", "0", "0"], ["1", "1", "-2", "0", "0"],
+        ["0", "0", "0", "1", "0"], ["0", "0", "0", "-1", "0"], ["0", "0", "0", "0", "1"], ["0", "0", "0", "0", "-1"]]}
+    for data, name in ((root_system_to_json(rs), "A1×A1"), (g2a1a1, "G2×A1×A1")):
+        code, out, _ = run(capsys, "classify", write_json(tmp_path, "rs.json", data))
+        assert code == 0
+        assert json.loads(out) == {"type": name}
 
 
 def test_classify_refuses_sets_that_are_not_root_systems(tmp_path, capsys):
@@ -547,17 +555,24 @@ def test_each_command_loads_only_its_modules(tmp_path):
     finite = expanding | {"rootsphere.quadric", "rootsphere.finite_root"}
     classifying = parsing | {"rootsphere.exact", "rootsphere.finite_root"}
     affine = expanding | {"rootsphere.finite_root", "rootsphere.catalog", "rootsphere.affine_root"}
+    explicit = write_json(tmp_path, "explicit.json", EXPLICIT_A1)
     cases = [
         (["--help"], 0, parsing),
         (["no-such-command"], 2, parsing),
         (["expand", m, "--output", out], 0, expanding),
+        (["expand", "catalog:B3", "--output", out], 0, expanding | {"rootsphere.finite_root", "rootsphere.catalog"}),
         (["check", m, "--output", out], 0, finite),
+        (["check", "catalog:B3", "--output", out], 0, finite | {"rootsphere.catalog"}),
         (["classify", rs, "--output", out], 0, classifying),
         (["classify", "catalog:B2", "--output", out], 0, classifying | {"rootsphere.catalog"}),
         (["denominator", "A2", "--output", out], 0, expanding | {"rootsphere.finite_root", "rootsphere.catalog"}),
         (["macdonald", "A2", "--cutoff", "6", "--output", out], 0, affine),
         (["check", "catalog-affine:A2", "--mode", "affine", "--cutoff", "6", "--output", out], 0,
          affine | {"rootsphere.quadric"}),
+        (["check", explicit, "--mode", "affine", "--output", out], 0,
+         (affine - {"rootsphere.catalog"}) | {"rootsphere.quadric"}),
+        (["counterexample", "remark29", "--output", out], 0, classifying | {"rootsphere.catalog"}),
+        (["counterexample", "remark210", "--output", out], 0, finite | {"rootsphere.catalog"}),
     ]
     for argv, code, modules in cases:
         last = _fresh_python(
@@ -781,8 +796,27 @@ def test_check_affine_levels_not_arithmetic(tmp_path, capsys):
     assert data["fit"] is None
 
 
-# sha256 of the default stdout of one command per subcommand: a change of
-# internal representation must leave the default JSON bytes as they are
+# the files the pinned commands below read, written to tmp_path by the test
+GOLDEN_INPUT_FILES = {
+    # B2's positives with (1, 0) doubled: a support off every sphere
+    "b2-double.json": {
+        "dim": 2,
+        "support": [
+            {"v": ["-1", "1"], "mult": 1}, {"v": ["0", "1"], "mult": 1},
+            {"v": ["2", "0"], "mult": 1}, {"v": ["1", "1"], "mult": 1},
+        ],
+    },
+    # the one point of an empty S
+    "empty-support.json": {"dim": 2, "support": []},
+    # mixed denominators (common scale 6) with s and -s together, which flip into one factor
+    "mixed.json": {
+        "dim": 2,
+        "support": [{"v": ["1/2", "0"], "mult": 1}, {"v": ["-1/2", "0"], "mult": 2}, {"v": ["1/3", "1"], "mult": 1}],
+    },
+}
+
+# sha256 of the default stdout of each pinned command: a change of internal
+# representation must leave the default JSON bytes as they are
 GOLDEN_STDOUT_SHA256 = {
     ("expand", "catalog:B3"): "1291ad889a18166afe122720a7c5d6cb08e39050c5967bdd186dbb4062438e9a",
     ("check", "catalog:B3"): "7304539b8303e67c1866640341b3a95d5c4cd529fe117565cfd5b7ea33e5a1be",
@@ -792,15 +826,57 @@ GOLDEN_STDOUT_SHA256 = {
     ("classify", "catalog:F4"): "8b872f38351ab6aeae63f5f22236a386875ab85e2373dbf462bd65599f59dfcc",
     ("denominator", "A3"): "7bc1686d3ea4773f8a9a2876e617f47b10808d60e49177f308ccdd261c258d1d",
     ("macdonald", "A2", "--cutoff", "4"): "0dd3b1e2512d9dd3b67cf65e0b0f69f39076041285fdd8a85e4cb404362dd186",
+    # remark 2.10's fit reads the quotient's integer keys
     ("counterexample", "remark210"): "53d55a1cf070eb2f118e892beeb7d2b81df1ec40eb76b4f5e265d5ab03e2b61f",
+    # the finite check's three paths (a sphere about rho_m, a support off every sphere and the
+    # one point of an empty S), mixed denominators, then the other classical orbits and the
+    # exceptional coordinates, each through its witness and recovered roots
+    ("check", "catalog:D6"): "b1b1d21fd8d5550cb419e6ad6d3e3f1dd00439fc2a070cd147f9c2936ffcad55",
+    ("check", "b2-double.json"): "80c779e18baa285552e21c31ac7afbc625cd5cd7ec44858ac1669934ef5a1cb2",
+    ("check", "empty-support.json"): "2af5947d318ebba747db301b1e1ca8e93698054a4af6aa00233842394d93fcbc",
+    ("check", "mixed.json"): "1944325beb3427035227b5a631f404574f108ccd7324bb77c8de8c8d0149a1c4",
+    ("check", "catalog:A4"): "cf4b3c36d1d8047afd1f0bff7e340c63883a36531771ebfc60a225ea64a3b997",
+    ("check", "catalog:B4"): "59d0973954adfd5222532db6a8e1d3c78c0fe28e55d0b455fecafa38a0169cb3",
+    ("check", "catalog:C4"): "9fd3d46d1f7a381f4a01a0efa2b47b040bb21679477352390e7e97674b17dd4f",
+    ("check", "catalog:F4"): "3e40e45b4fa783fd98c6032c6cf8b60699ce8081efe6d2208475c0b68bb35e4f",
+    ("expand", "catalog:G2"): "bc48e5a840f64185383fe13deb2d079f86105d190eb4de49d723038a83adf984",
+    # the largest sphere checks: E6, 51 840 points of rank 6 in 8 coordinates, and D7, whose
+    # full expansion passes the accumulator limit, so the check builds half the flipped product
+    ("check", "catalog:E6"): "085c5026c64e117e67f20ee929b4f2d4026dcab84233537b9e9d6be319881f70",
+    ("check", "catalog:D7"): "0912692407a23410a450123dc48319126c9906ec425e6ed801e323f981c14ff4",
+    # both Weyl sums: the finite orbit walk (F4, E6) and the graded affine one (G2)
+    ("denominator", "F4"): "c2df21fc100e1f70b56fbe4b66fa68773fecf5172cbbbdc722b50198d55abe84",
+    ("denominator", "E6"): "29d38e45daf8bb904535bbb4a5c97c8131f15f2c777d135f9fec830aae099a16",
+    ("macdonald", "G2", "--cutoff", "6"): "d418a1a1ae5a13a91ffe36b05b1b203c016cb3b2938ec5d151cda37b9f87af40",
+    # paraboloid fits of some 2 800 points (F4) and the exceptional affine coordinates
+    ("check", "catalog-affine:F4", "--mode", "affine", "--cutoff", "4"): (
+        "b89fb31801237f77c9115f790cbd8180cd703c8b3c464c211d311505e3a0f0e6"
+    ),
+    ("check", "catalog-affine:E7", "--mode", "affine", "--cutoff", "1"): (
+        "e287daf08c66ac2535d94f12f2d52783a23f5d8f7f8a6b5ca5c8637e4a3f98a5"
+    ),
+    ("check", "catalog-affine:E8", "--mode", "affine", "--cutoff", "1/2"): (
+        "f5e5fb224a5e8a2a0a919ae4c78238df7d0671abd7a597f8b05157ae1f32f6ba"
+    ),
 }
 
 
-def test_default_stdout_bytes_are_pinned(capsys):
-    changed = {}
+def test_default_stdout_bytes_are_pinned(tmp_path, capsys):
+    files = {name: write_json(tmp_path, name, data) for name, data in GOLDEN_INPUT_FILES.items()}
+    changed, outs = {}, {}
     for argv, digest in GOLDEN_STDOUT_SHA256.items():
-        code, out, err = run(capsys, *argv)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *(files.get(a, a) for a in argv))
+        # every row, the largest included, within two minutes
+        assert time.perf_counter() - start < 120, argv
         assert code == 0 and err == "", argv
         if hashlib.sha256(out.encode("utf-8")).hexdigest() != digest:
             changed[" ".join(argv)] = out[:200]
+        outs[argv] = json.loads(out)
     assert changed == {}
+    assert outs[("denominator", "E6")]["equal"] is True
+    assert outs[("check", "catalog-affine:F4", "--mode", "affine", "--cutoff", "4")]["on_paraboloid"] is True
+    # 0 is a point of D7's support, so its witness's radius_sq is |center|^2
+    d7 = outs[("check", "catalog:D7")]
+    assert (d7["on_sphere"], d7["type"]) == (True, "D7")
+    assert Q(d7["fit"]["radius_sq"]) == sum(Q(x) ** 2 for x in d7["fit"]["center"])
